@@ -65,8 +65,9 @@ object EmbDI {
 
     // Input statistics for the corpus-size rule — not part of the graph
     // construction time the paper reports as G.
-    val nDistinct = datasets.map(d => Tokenization.distinctValues(spark, d, cfg.sigFigs))
-      .reduce(_ union _).distinct().count()
+    import spark.implicits._
+    val nDistinct = datasets.map(Tokenization.cells(spark, _)).reduce(_ union _)
+      .flatMap(v => Tokenization.normalize(v, cfg.sigFigs)).distinct().count()
     val nRows = datasets.map(_.count()).sum
     val corpusTokens =
       if (cfg.corpusFactor > 0) RandomWalker.corpusTokensRule(nDistinct, nRows, cfg.corpusFactor)

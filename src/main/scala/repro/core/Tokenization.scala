@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** Cell-value tokenization strategies of §5.5 / §7.2.
@@ -52,6 +52,14 @@ object Tokenization {
         }
     }
 
+  /** Every data cell of `df` (all columns but `__rid`) as a string, NULLs included,
+    * melted in one projection: a `select` + `union` per column scans once per column. */
+  private[core] def cells(spark: SparkSession, df: DataFrame): Dataset[String] = {
+    import spark.implicits._
+    val dataCols = df.columns.filterNot(_ == "__rid").toSeq
+    df.select(explode(array(dataCols.map(c => col(c).cast("string")): _*))).as[String]
+  }
+
   /** Normalized whole-cell values occurring in both datasets (DataFrame
     * intersection over all data columns) — the EmbDI-O bridge set and the
     * overlap statistic of Table 1. */
@@ -66,19 +74,14 @@ object Tokenization {
   def sharedTokens(spark: SparkSession, d1: DataFrame, d2: DataFrame,
                    strategy: Strategy, sigFigs: Int = 4): Set[String] = {
     import spark.implicits._
-    def toks(df: DataFrame): DataFrame = {
-      val dataCols = df.columns.filterNot(_ == "__rid")
-      dataCols.map(c => df.select(col(c).cast("string").as("raw"))).reduce(_ union _)
-        .as[String].flatMap(v => tokens(v, strategy, sigFigs)).toDF("t").distinct()
-    }
+    def toks(df: DataFrame): DataFrame =
+      cells(spark, df).flatMap(v => tokens(v, strategy, sigFigs)).toDF("t").distinct()
     toks(d1).intersect(toks(d2)).collect().map(_.getString(0)).toSet
   }
 
   /** One-column DataFrame `value` of distinct normalized cell values. */
   def distinctValues(spark: SparkSession, df: DataFrame, sigFigs: Int = 4): DataFrame = {
     import spark.implicits._
-    val dataCols = df.columns.filterNot(_ == "__rid")
-    val stacked = dataCols.map(c => df.select(col(c).cast("string").as("raw"))).reduce(_ union _)
-    stacked.as[String].flatMap(v => normalize(v, sigFigs)).toDF("value").distinct()
+    cells(spark, df).flatMap(v => normalize(v, sigFigs)).toDF("value").distinct()
   }
 }

@@ -40,18 +40,15 @@ object TripartiteGraph {
             strategy: Tokenization.Strategy, sigFigs: Int = 4): DataFrame = {
     import spark.implicits._
     val perDataset = datasets.zipWithIndex.map { case (df, i) =>
-      val dsIdx = i + 1
       val dataCols = df.columns.filterNot(_ == "__rid").toSeq
-      // Melt to (rid, column, value) then explode into token edges.
-      val melted: DataFrame = dataCols.map { c =>
-        df.select($"__rid".cast("long").as("rid"), lit(c).as("col"),
-                  col(c).cast("string").as("value"))
-      }.reduce(_ union _)
-      melted
-        .as[(Long, String, String)]
-        .flatMap { case (rid, colName, value) =>
-          Tokenization.tokens(value, strategy, sigFigs).flatMap { tok =>
-            Seq((tok, NodeNames.rid(rid)), (tok, NodeNames.cid(dsIdx, colName)))
+      val cids = dataCols.map(NodeNames.cid(i + 1, _))
+      // One pass over the rows: each token of each cell yields both its edges.
+      df.select($"__rid".cast("long") +: dataCols.map(c => col(c).cast("string")): _*)
+        .flatMap { row =>
+          val rid = NodeNames.rid(row.getLong(0))
+          cids.indices.flatMap { j =>
+            Tokenization.tokens(row.getString(j + 1), strategy, sigFigs)
+              .flatMap(tok => Seq((tok, rid), (tok, cids(j))))
           }
         }
         .toDF("src", "dst")

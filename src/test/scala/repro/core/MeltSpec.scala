@@ -1,0 +1,163 @@
+package repro.core
+
+import java.util.concurrent.ConcurrentLinkedQueue
+
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.execution.{QueryExecution, SparkPlan, UnionExec}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.functions.{col, lit}
+import org.apache.spark.sql.types._
+import org.apache.spark.sql.util.QueryExecutionListener
+import repro.{SparkSpec, TestFixtures}
+
+import scala.jdk.CollectionConverters._
+
+/** The one-scan melt behind [[Tokenization]] and [[TripartiteGraph.edges]]:
+  * the same sets as a per-column `select` + `union` melt (kept here as the
+  * reference), and plans that read each input once.
+  */
+class MeltSpec extends SparkSpec with AdaptiveSparkPlanHelper {
+
+  private val schema = StructType(Seq(
+    StructField("__rid", LongType, nullable = false),
+    StructField("name", StringType),
+    StructField("year", IntegerType),
+    StructField("score", DoubleType),
+  ))
+
+  private def frame(rows: Row*): DataFrame =
+    spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+
+  // String, Int and Double columns; NULL and blank cells; an all-NULL row;
+  // numeric strings and doubles that round (some cast to "1.2345678E7" form).
+  private lazy val d1 = frame(
+    Row(0L, "iPad 4th", 2012, 3.14159),
+    Row(1L, "   ", null, 1.2345678e7),
+    Row(2L, null, null, null),
+    Row(3L, "Galaxy", 42, 1.0e-4),
+    Row(4L, "123456", 7, -0.5),
+  )
+  private lazy val d2 = frame(
+    Row(10L, "ipad  4TH", 2012, 3.1416),
+    Row(11L, "3.14159", 42, 12345000.0),
+    Row(12L, "", 123456, null),
+    Row(13L, "Galaxy Tab", null, 0.0001),
+  )
+
+  private val strategies: Seq[Tokenization.Strategy] = Seq(Tokenization.Simple,
+    Tokenization.Flatten, Tokenization.Overlap(Set("ipad_4th", "galaxy", "3.142")))
+
+  // ------------------------------------------------ per-column reference melt
+
+  /** (rid, column, raw value) with one `select` per column. */
+  private def referenceMelt(df: DataFrame): DataFrame =
+    df.columns.filterNot(_ == "__rid").map { c =>
+      df.select(col("__rid").cast("long").as("rid"), lit(c).as("col"), col(c).cast("string").as("value"))
+    }.reduce(_ union _)
+
+  private def referenceEdges(datasets: Seq[DataFrame], st: Tokenization.Strategy): Set[(String, String)] = {
+    import spark.implicits._
+    datasets.zipWithIndex.map { case (df, i) =>
+      referenceMelt(df).as[(Long, String, String)].flatMap { case (rid, c, v) =>
+        Tokenization.tokens(v, st).flatMap(t => Seq((t, NodeNames.rid(rid)), (t, NodeNames.cid(i + 1, c))))
+      }.toDF("src", "dst")
+    }.reduce(_ union _).distinct().as[(String, String)].collect().toSet
+  }
+
+  private def referenceValues(df: DataFrame): DataFrame = {
+    import spark.implicits._
+    referenceMelt(df).select("value").as[String].flatMap(v => Tokenization.normalize(v)).toDF("value").distinct()
+  }
+
+  private def referenceTokens(df: DataFrame, st: Tokenization.Strategy): Set[String] = {
+    import spark.implicits._
+    referenceMelt(df).select("value").as[String].flatMap(v => Tokenization.tokens(v, st)).collect().toSet
+  }
+
+  private def strings(df: DataFrame): Set[String] = df.collect().map(_.getString(0)).toSet
+
+  // ------------------------------------------------------------- equivalence
+
+  test("edges equal the per-column reference under every strategy") {
+    import spark.implicits._
+    strategies.foreach { st =>
+      val got = TripartiteGraph.edges(spark, Seq(d1, d2), st).as[(String, String)].collect()
+      assert(got.length == got.distinct.length, s"$st: duplicate edges")
+      assert(got.toSet == referenceEdges(Seq(d1, d2), st), s"$st")
+    }
+  }
+
+  test("distinctValues, sharedValues and sharedTokens equal the per-column reference") {
+    Seq(d1, d2).foreach(d => assert(strings(Tokenization.distinctValues(spark, d)) == strings(referenceValues(d))))
+    assert(Tokenization.sharedValues(spark, d1, d2) ==
+      strings(referenceValues(d1)).intersect(strings(referenceValues(d2))))
+    assert(Tokenization.sharedValues(spark, d1, d2) == Set("ipad_4th", "3.142", "2012", "42", "123500", "12350000", "0.0001"))
+    strategies.foreach { st =>
+      assert(Tokenization.sharedTokens(spark, d1, d2, st) == referenceTokens(d1, st).intersect(referenceTokens(d2, st)), s"$st")
+    }
+  }
+
+  test("EmbDI.run counts distinct values as the per-dataset distinct/union/distinct did") {
+    val tiny = TestFixtures.tiny
+    val expected = Seq(tiny.d1, tiny.d2).map(referenceValues).reduce(_ union _).distinct().count()
+    assert(TestFixtures.tinyEmbDI.nDistinctValues == expected)
+  }
+
+  test("the corpus-size rule counts the all-NULL row in #rows") {
+    // The all-NULL row has no RID node, but it is still a row of the input.
+    val cfg0 = EmbDI.Config(strategy = Tokenization.Simple,
+      walk = RandomWalker.WalkConfig(walkLength = 5, seed = 3L, numPartitions = 2),
+      w2v = EmbeddingTrainer.W2VConfig(dim = 4, minCount = 1, numPartitions = 1, seed = 3L))
+    val graph = CompactGraph.fromEdges(TripartiteGraph.edges(spark, Seq(d1), Tokenization.Simple))
+    assert(!graph.index.contains(NodeNames.rid(2)))
+    val starts = RandomWalker.startNodes(graph, cfg0.walk.startStrategy).length
+    // factor = walkLength · #starts ⇒ walks per start node = #distinct + #rows.
+    val res = EmbDI.run(spark, Seq(d1), cfg0.copy(corpusFactor = 5L * starts))
+    assert(res.nSentences == starts.toLong * (res.nDistinctValues + 5L))
+  }
+
+  // -------------------------------------------------------------- plan shape
+
+  private def leaves(p: SparkPlan): Int = collectLeaves(p).size
+  private def unionInputs(p: SparkPlan): Int = collect(p) { case u: UnionExec => u.children.size }.sum
+
+  /** Executed plans of every action `body` runs. A marker action after it
+    * flushes the (asynchronous) listener bus. */
+  private def executedPlans(body: => Unit): Seq[SparkPlan] = {
+    val seen = new ConcurrentLinkedQueue[SparkPlan]
+    val listener = new QueryExecutionListener {
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = seen.add(qe.executedPlan)
+      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    spark.listenerManager.register(listener)
+    try {
+      body
+      spark.range(7).toDF("marker").collect()
+      val deadline = System.nanoTime() + 30_000_000_000L
+      def hasMarker = seen.asScala.exists(_.output.exists(_.name == "marker"))
+      while (!hasMarker && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(hasMarker, "listener bus did not deliver the marker action")
+    } finally spark.listenerManager.unregister(listener)
+    seen.asScala.toSeq.filterNot(_.output.exists(_.name == "marker"))
+  }
+
+  /** One scan per input dataset and no union beyond one input per dataset. */
+  private def assertOneScanPerInput(what: String, nInputs: Int)(body: => Unit): Unit = {
+    val plans = executedPlans(body)
+    assert(plans.nonEmpty, what)
+    plans.foreach { p =>
+      assert(leaves(p) == nInputs, s"$what: ${leaves(p)} scans for $nInputs inputs\n$p")
+      assert(unionInputs(p) <= (if (nInputs > 1) nInputs else 0), s"$what: per-column union\n$p")
+    }
+  }
+
+  test("each cell-reading function scans every input once, with no per-column union") {
+    assertOneScanPerInput("edges of one dataset", 1)(
+      TripartiteGraph.edges(spark, Seq(d1), Tokenization.Flatten).collect())
+    assertOneScanPerInput("edges of two datasets", 2)(
+      TripartiteGraph.edges(spark, Seq(d1, d2), Tokenization.Flatten).collect())
+    assertOneScanPerInput("distinctValues", 1)(Tokenization.distinctValues(spark, d1).collect())
+    assertOneScanPerInput("sharedValues", 2)(Tokenization.sharedValues(spark, d1, d2))
+    assertOneScanPerInput("sharedTokens", 2)(Tokenization.sharedTokens(spark, d1, d2, Tokenization.Flatten))
+  }
+}

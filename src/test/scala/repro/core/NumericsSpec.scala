@@ -18,6 +18,13 @@ class NumericsSpec extends AnyFunSuite {
     assert(Numerics.parseNumeric("").isEmpty)
   }
 
+  test("parseNumeric accepts scientific notation but not overflow") {
+    assert(Numerics.parseNumeric("1.2345678E7").contains(1.2345678e7))
+    assert(Numerics.parseNumeric("1.0e-4").contains(1.0e-4))
+    assert(Numerics.parseNumeric("1e999").isEmpty)
+    assert(Numerics.parseNumeric("e5").isEmpty)
+  }
+
   test("roundSig keeps magnitude") {
     assert(Numerics.roundSig(123456, 2) == "120000")
     assert(Numerics.roundSig(0.0123456, 3) == "0.0123")
@@ -42,6 +49,22 @@ class NumericsSpec extends AnyFunSuite {
       if (math.abs(d) > 1e-9) {
         val once = Numerics.roundSig(d, sig)
         assert(Numerics.roundSig(once.toDouble, sig) == once, s"d=$d sig=$sig")
+      }
+    }
+  }
+
+  test("roundSig renders plain notation at any magnitude, idempotently (property)") {
+    assert(Numerics.roundSig(1.0e-4, 3) == "0.0001")
+    assert(Numerics.roundSig(1.23456789e20, 4) == "123500000000000000000")
+    assert(Numerics.roundSig(-1.2345e-9, 2) == "-0.0000000012")
+    val rng = new Random(11)
+    (0 until 300).foreach { _ =>
+      val d = (rng.nextDouble() - 0.5) * math.pow(10, rng.nextInt(40) - 20)
+      val sig = 1 + rng.nextInt(6)
+      if (d != 0.0) {
+        val once = Numerics.roundSig(d, sig)
+        assert(!once.contains('E') && !once.contains('e'), s"d=$d sig=$sig -> $once")
+        assert(Numerics.roundSig(Numerics.parseNumeric(once).get, sig) == once, s"d=$d sig=$sig")
       }
     }
   }

@@ -100,6 +100,21 @@ class TokenizationSpec extends SparkSpec {
     assert(Tokenization.sharedValues(spark, d1, d2) == Set("apple"))
   }
 
+  test("sharedValues size matches a DuckDB INTERSECT count") {
+    import spark.implicits._
+    val d1 = Seq((0L, "Apple", "iPad 4th"), (1L, "Samsung", "Galaxy"), (2L, "Sony", null))
+      .toDF("__rid", "maker", "product")
+    val d2 = Seq((3L, "APPLE", "MacBook"), (4L, "sony", "ipad 4TH"), (5L, null, "Bravia"))
+      .toDF("__rid", "brand", "item")
+    val norm = (c: String) => s"lower(replace($c, ' ', '_'))"
+    Oracle.assertEquivalent(
+      Seq(Tokenization.sharedValues(spark, d1, d2).size.toLong).toDF("n"),
+      s"SELECT count(*) as n FROM (" +
+        s"SELECT ${norm("v")} FROM (SELECT maker v FROM a UNION ALL SELECT product FROM a) WHERE v IS NOT NULL " +
+        s"INTERSECT SELECT ${norm("v")} FROM (SELECT brand v FROM b UNION ALL SELECT item FROM b) WHERE v IS NOT NULL)",
+      "a" -> d1.drop("__rid"), "b" -> d2.drop("__rid"))
+  }
+
   test("distinctValues matches a DuckDB oracle count") {
     import spark.implicits._
     val d = Seq((0L, "Alpha", "x"), (1L, "beta", "y"), (2L, "ALPHA", "y"))

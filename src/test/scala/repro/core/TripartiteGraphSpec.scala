@@ -86,19 +86,32 @@ class TripartiteGraphSpec extends SparkSpec {
     assert(g.degree(g.index(NodeNames.rid(0))) == 1)
   }
 
-  test("edge count matches a DuckDB oracle over the melted relation") {
-    val edges = TripartiteGraph.edges(spark, Seq(figure1a), Tokenization.Simple)
-    // Melted (rid, col, token) view of the same table, built independently.
-    val melted = figure1a
-      .selectExpr("__rid as rid", "'A1' as col", "lower(replace(A1, ' ', '_')) as v")
-      .union(figure1a.selectExpr("__rid as rid", "'A2' as col", "lower(replace(A2, ' ', '_')) as v"))
-      .where("v is not null")
+  test("node and edge counts of Figure 1 match a DuckDB oracle") {
+    import spark.implicits._
+    val g = graphFor(Tokenization.Simple)
+    val got = Seq((g.numEdges, g.nodeIdsOfType(0).length.toLong, g.nodeIdsOfType(1).length.toLong,
+      g.nodeIdsOfType(2).length.toLong)).toDF("edges", "tokens", "rids", "cids")
+    // Melted (rid, dataset-qualified col, token) view of both tables, built
+    // independently of the code under test.
+    val melted = Seq(1 -> figure1a, 2 -> figure1b).flatMap { case (ds, df) =>
+      df.columns.filterNot(_ == "__rid").map(c =>
+        df.selectExpr("__rid as rid", s"'${ds}__$c' as col", s"lower(replace($c, ' ', '_')) as v"))
+    }.reduce(_ union _).where("v is not null")
     // #edges = #distinct (token, rid) + #distinct (token, col).
-    Oracle.assertEquivalent(
-      edges.selectExpr("count(*) as n"),
+    Oracle.assertEquivalent(got,
       "SELECT (SELECT count(*) FROM (SELECT DISTINCT v, rid FROM m)) + " +
-        "(SELECT count(*) FROM (SELECT DISTINCT v, col FROM m)) as n",
+        "(SELECT count(*) FROM (SELECT DISTINCT v, col FROM m)) as edges, " +
+        "count(DISTINCT v) as tokens, count(DISTINCT rid) as rids, count(DISTINCT col) as cids FROM m",
       "m" -> melted)
+  }
+
+  test("doubles cast to scientific notation are rounded like plain numbers (§4.1)") {
+    import spark.implicits._
+    // cast("string") renders these as "1.2345678E7" and "1.0E-4".
+    val df = Seq((0L, 1.2345678e7), (1L, 1.0e-4)).toDF("__rid", "x")
+    val toks = TripartiteGraph.edges(spark, Seq(df), Tokenization.Simple)
+      .select("src").as[String].collect().toSet
+    assert(toks == Set("12350000", "0.0001"))
   }
 
   test("nodes DataFrame types partition the node set") {
