@@ -6,9 +6,9 @@ package repro.core
   * tests: normalize, average, return the word least similar to the mean).
   *
   * Vocabulary sizes here are graph-node counts (≤ a few 100k), so a
-  * driver-side table broadcast to executors is the right representation;
-  * bulk top-k queries go through [[NearestNeighbors]] which parallelises
-  * over queries with Spark.
+  * driver-side table is the right representation; bulk top-k queries go
+  * through [[NearestNeighbors]], which ranks row arrays on the driver's
+  * cores.
   */
 final class EmbeddingModel(
     val words: Array[String],

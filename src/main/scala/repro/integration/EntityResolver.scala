@@ -1,7 +1,7 @@
 package repro.integration
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{EmbeddingModel, NearestNeighbors, NodeNames}
+import repro.core.{EmbeddingModel, NodeNames}
 
 /** Entity Resolution (§6, Algorithm 6): unsupervised matching of RID
   * embeddings. For every RID the `n_top` closest RIDs *of the other dataset*
@@ -19,34 +19,18 @@ object EntityResolver {
       .filter { n => val r = NodeNames.ridValue(n); r >= fromRid && r < untilRid }
       .toSeq
 
-  /** Match RIDs of dataset 1 (`rids1`) against dataset 2 (`rids2`).
-    * Returns (rid1 node, rid2 node) pairs. NN search is Spark-parallel
-    * (broadcast target matrix, see [[NearestNeighbors]]). */
+  /** Match RIDs of dataset 1 (`rids1`) against dataset 2 (`rids2`); RIDs
+    * without a vector are skipped. Returns (rid1 node, rid2 node) pairs.
+    * Candidates are the `nTop` nearest-neighbour lists of both directions
+    * (driver-side; `spark` is unused). Algorithm 6 takes a's candidates from
+    * a's own list and every b whose list holds a; each such extra b scores
+    * at most a's `nTop`-th best, so the top `nTop` of that union is a's own
+    * list, up to exact score ties at the boundary. */
   def matchRids(spark: SparkSession, model: EmbeddingModel,
                 rids1: Seq[String], rids2: Seq[String],
-                nTop: Int = 10, maxIterations: Int = 10): Seq[(String, String)] = {
-    val vecs1 = rids1.flatMap(r => model.vector(r).map(r -> _))
-    val vecs2 = rids2.flatMap(r => model.vector(r).map(r -> _))
-    if (vecs1.isEmpty || vecs2.isEmpty) return Seq.empty
-
+                nTop: Int = 10, maxIterations: Int = 10): Seq[(String, String)] =
     // d(r_i) for both directions (Algorithm 6 line 3: i ≠ j).
-    val top12 = NearestNeighbors.topK(spark, vecs1, vecs2, nTop)
-    val top21 = NearestNeighbors.topK(spark, vecs2, vecs1, nTop)
-
-    val sims: Map[(String, String), Double] =
-      (top12.toSeq.flatMap { case (a, ns) => ns.map { case (b, s) => (a, b) -> s } } ++
-       top21.toSeq.flatMap { case (b, ns) => ns.map { case (a, s) => (a, b) -> s } }).toMap
-
-    // Candidate lists are exactly the n_top NN lists; reuse the shared
-    // mutual-matching engine (Algorithm 6 lines 6–10 iterated to fixpoint).
-    SchemaMatcher.mutualMatch(
-      sims = sims,
-      left = vecs1.map(_._1),
-      right = vecs2.map(_._1),
-      maxIterations = maxIterations,
-      candidateCap = nTop,
-    )
-  }
+    SchemaMatcher.matchVectors(model, rids1, rids2, nTop, maxIterations)
 
   /** Algorithm 6 over a labeled candidate-pair set (the evaluation protocol
     * of the Magellan-style ER benchmarks the paper uses: classify blocking

@@ -1,7 +1,9 @@
 package repro.integration
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{EmbeddingModel, NodeNames, Tokenization}
+import repro.core.{EmbeddingModel, NearestNeighbors, NodeNames, Tokenization}
+
+import scala.collection.mutable
 
 /** Schema Matching (§6, Algorithm 5): mutual-nearest-neighbour matching of
   * CID embeddings with candidate elimination, terminated after two sweeps
@@ -9,85 +11,86 @@ import repro.core.{EmbeddingModel, NodeNames, Tokenization}
   */
 object SchemaMatcher {
 
-  /** Run Algorithm 5 over two CID vocabularies inside `model`.
-    * Returns matched (c1, c2) node-name pairs. */
+  /** Run Algorithm 5 over two CID vocabularies inside `model`: every CID
+    * ranks all CIDs of the other side. Returns matched (c1, c2) pairs. */
   def matchCids(model: EmbeddingModel, cids1: Seq[String], cids2: Seq[String],
                 maxIterations: Int = 2): Seq[(String, String)] =
-    mutualMatch(
-      sims = crossSims(model, cids1, cids2),
-      left = cids1.filter(model.contains),
-      right = cids2.filter(model.contains),
-      maxIterations = maxIterations,
-      candidateCap = Int.MaxValue,
-    )
+    matchVectors(model, cids1, cids2, Int.MaxValue, maxIterations)
 
-  /** Cosine-similarity table for all cross pairs present in the model. */
-  private def crossSims(model: EmbeddingModel, left: Seq[String],
-                        right: Seq[String]): Map[(String, String), Double] =
-    (for {
-      a <- left; va <- model.vector(a).toSeq
-      b <- right; vb <- model.vector(b).toSeq
-    } yield (a, b) -> model.cosine(va, vb)).toMap
-
-  /** The shared mutual-matching engine used by Algorithms 5 and 6.
-    *
-    * Each element keeps a descending candidate list (capped at
-    * `candidateCap` — Algorithm 6's `n_top`). Per sweep, every unmatched
-    * left element proposes to its current best candidate; if the candidate's
-    * own current best is the proposer, the pair is matched and removed,
-    * otherwise the two drop each other from their lists (Algorithm 5 lines
-    * 13–14). Sweeping stops after `maxIterations` or when no candidates
-    * remain. */
-  private[repro] def mutualMatch(
-      sims: Map[(String, String), Double],
-      left: Seq[String], right: Seq[String],
-      maxIterations: Int,
-      candidateCap: Int): Seq[(String, String)] = {
-
-    import scala.collection.mutable
-    val candL = mutable.LinkedHashMap.empty[String, mutable.ArrayDeque[String]]
-    val candR = mutable.LinkedHashMap.empty[String, mutable.ArrayDeque[String]]
-    left.foreach { a =>
-      val cs = right.flatMap(b => sims.get((a, b)).map(b -> _)).sortBy(-_._2)
-        .take(candidateCap).map(_._1)
-      candL(a) = mutable.ArrayDeque.from(cs)
+  /** [[mutualMatch]] over the top-`k` lists of both directions
+    * ([[NearestNeighbors.rank]]) of the names that have a vector in
+    * `model`; a name on both sides never ranks itself. */
+  private[repro] def matchVectors(model: EmbeddingModel, names1: Seq[String], names2: Seq[String],
+                                  k: Int, maxIterations: Int): Seq[(String, String)] = {
+    val left = names1.filter(model.contains).toIndexedSeq
+    val right = names2.filter(model.contains).toIndexedSeq
+    requireDistinct(left, "left"); requireDistinct(right, "right")
+    def ranked(from: IndexedSeq[String], to: IndexedSeq[String]): Array[Array[Int]] = {
+      val at = to.zipWithIndex.toMap
+      NearestNeighbors.rank(from.flatMap(model.vector).toArray, to.flatMap(model.vector).toArray,
+        k, i => at.getOrElse(from(i), -1)).ids
     }
-    right.foreach { b =>
-      val cs = left.flatMap(a => sims.get((a, b)).map(a -> _)).sortBy(-_._2)
-        .take(candidateCap).map(_._1)
-      candR(b) = mutable.ArrayDeque.from(cs)
-    }
+    mutualMatch(ranked(left, right), ranked(right, left), maxIterations)
+      .map { case (a, b) => (left(a), right(b)) }
+  }
 
-    val matched = mutable.ArrayBuffer.empty[(String, String)]
-    val doneL = mutable.Set.empty[String]
-    val doneR = mutable.Set.empty[String]
+  private def requireDistinct(names: Seq[String], side: String): Unit =
+    require(names.distinct.size == names.size, s"$side names must be distinct; repeated: " +
+      names.diff(names.distinct).distinct.take(5).mkString(", "))
 
-    var iter = 0
-    var progress = true
+  /** The shared mutual-matching engine of Algorithms 5 and 6, on ranked int
+    * lists: `l2r(a)` holds left element a's candidate right ids, best first
+    * and already capped (Algorithm 6's `n_top`); `r2l(b)` likewise. Per
+    * sweep, every unmatched left element proposes to its current best
+    * candidate; if the candidate's own current best unmatched candidate is
+    * the proposer, the pair is matched and removed, otherwise the two drop
+    * each other from their lists (Algorithm 5 lines 13–14). Sweeping stops
+    * after `maxIterations` or when no candidates remain. */
+  private[repro] def mutualMatch(l2r: Array[Array[Int]], r2l: Array[Array[Int]],
+                                 maxIterations: Int): Seq[(Int, Int)] = {
+    val headL = new Array[Int](l2r.length) // left lists only lose their head
+    val candR = r2l.map(_.clone)            // -1 marks a rejected proposer
+    val (doneL, doneR) = (new Array[Boolean](l2r.length), new Array[Boolean](r2l.length))
+    val matched = mutable.ArrayBuffer.empty[(Int, Int)]
+    var iter = 0; var progress = true
     while (iter < maxIterations && progress) {
       progress = false
-      for (a <- left if !doneL(a)) {
-        val cl = candL(a)
-        cl.headOption match {
-          case None => // exhausted — drops out of T
-          case Some(b) if doneR(b) =>
-            cl.removeHead(); progress = true
-          case Some(b) =>
-            val back = candR(b).find(x => !doneL(x))
-            if (back.contains(a)) {
-              matched += ((a, b)); doneL += a; doneR += b; progress = true
-            } else {
-              // Mutual rejection: remove each from the other's list.
-              cl.removeHead()
-              val i = candR(b).indexOf(a)
-              if (i >= 0) candR(b).remove(i)
-              progress = true
-            }
+      for (a <- l2r.indices if !doneL(a) && headL(a) < l2r(a).length) {
+        val b = l2r(a)(headL(a))
+        progress = true
+        if (doneR(b)) headL(a) += 1
+        else if (candR(b).find(x => x >= 0 && !doneL(x)).contains(a)) {
+          matched += ((a, b)); doneL(a) = true; doneR(b) = true
+        } else { // mutual rejection
+          headL(a) += 1
+          val i = candR(b).indexOf(a)
+          if (i >= 0) candR(b)(i) = -1
         }
       }
       iter += 1
     }
     matched.toSeq
+  }
+
+  /** [[mutualMatch]] over a similarity table: each element's candidates are
+    * its table entries with the other side, by similarity descending, ties
+    * by position in `left`/`right`, capped at `candidateCap`. */
+  private[repro] def mutualMatch(sims: Map[(String, String), Double], left: Seq[String],
+                                 right: Seq[String], maxIterations: Int,
+                                 candidateCap: Int): Seq[(String, String)] = {
+    requireDistinct(left, "left"); requireDistinct(right, "right")
+    val (ls, rs) = (left.toIndexedSeq, right.toIndexedSeq)
+    val (li, ri) = (ls.zipWithIndex.toMap, rs.zipWithIndex.toMap)
+    val candL = Array.fill(ls.size)(mutable.ArrayBuffer.empty[(Double, Int)])
+    val candR = Array.fill(rs.size)(mutable.ArrayBuffer.empty[(Double, Int)])
+    for (((a, b), s) <- sims; i <- li.get(a); j <- ri.get(b)) {
+      candL(i) += ((-s, j)); candR(j) += ((-s, i))
+    }
+    val order = Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Int)
+    def ranked(c: mutable.ArrayBuffer[(Double, Int)]): Array[Int] =
+      c.sorted(order).iterator.take(candidateCap).map(_._2).toArray
+    mutualMatch(candL.map(ranked), candR.map(ranked), maxIterations)
+      .map { case (a, b) => (ls(a), rs(b)) }
   }
 
   /** The `Base` schema matcher of Table 3: columns as bags of words, matched

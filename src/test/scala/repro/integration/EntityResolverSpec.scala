@@ -68,4 +68,11 @@ class EntityResolverSpec extends SparkSpec {
       assert(b >= n && b < 2 * n)
     }
   }
+
+  test("nTop = 0 gives no pairs") {
+    val n = 10
+    val m = pairedModel(n, 8, 0.01, 7)
+    assert(EntityResolver.matchRids(spark, m,
+      EntityResolver.ridsIn(m, 0, n), EntityResolver.ridsIn(m, n, 2 * n), nTop = 0).isEmpty)
+  }
 }
