@@ -14,26 +14,14 @@ class Table2Bench extends SparkSpec {
     BenchOut.reset("table2")
     val perScenarioAvg = scala.collection.mutable.Map.empty[String, Map[String, Double]]
     Scenarios.allConfigs.foreach { cfg =>
-      val b = Bench.bundle(spark, cfg.shorthand)
-      val tests = Bench.qualityTests(spark, cfg.shorthand)
-      val methods = Seq(
-        "Basic"    -> b.basic,
-        "Node2Vec" -> b.node2vec.model,
-        "Harp"     -> b.harp.model,
-        "EmbDI"    -> b.embdiO.model,
-      )
-      val avgs = methods.map { case (name, model) =>
-        val s = Bench.scoreQuality(model, tests)
-        BenchOut.emit("table2", f"${cfg.shorthand}%-4s $name%-9s ${s.render}")
-        name -> s.avg
-      }.toMap
-      perScenarioAvg(cfg.shorthand) = avgs
+      val rows = Bench.table2Rows(spark, cfg.shorthand)
+      rows.foreach(r => BenchOut.emit("table2", r.render))
+      perScenarioAvg(cfg.shorthand) = rows.map(r => r.method -> r.scores.avg).toMap
     }
     // pre-trained footnote (§7.1 reports BB .33 and AG .16 averages)
     Seq("BB", "AG").foreach { s =>
-      val b = Bench.bundle(spark, s)
-      val q = Bench.scoreQuality(b.pretrained, Bench.qualityTests(spark, s))
-      BenchOut.emit("table2", f"$s%-4s ${"Pretrain"}%-9s ${q.render}")
+      val q = Bench.scoreQuality(Bench.bundle(spark, s).pretrained, Bench.qualityTests(spark, s))
+      BenchOut.emit("table2", Bench.QualityRow(s, "Pretrain", q).render)
     }
     // shape: EmbDI wins (or ties within noise) on the cross-scenario mean
     val grand = perScenarioAvg.values.toSeq

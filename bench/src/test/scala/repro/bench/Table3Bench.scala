@@ -13,18 +13,9 @@ class Table3Bench extends SparkSpec {
   test("Table 3: schema matching across methods") {
     BenchOut.reset("table3")
     val rows = Scenarios.integrationConfigs.map { cfg =>
-      val b = Bench.bundle(spark, cfg.shorthand)
-      val scores = Seq(
-        "Base"     -> Bench.smBase(spark, b).f1,
-        "EmbDI"    -> Bench.smScore(spark, b, b.embdiO.model).f1,
-        "Node2Vec" -> Bench.smScore(spark, b, b.node2vec.model).f1,
-        "Harp"     -> Bench.smScore(spark, b, b.harp.model).f1,
-        "SeepP"    -> Bench.smSeepP(b).f1,
-        "SeepL"    -> Bench.smSeepL(b).f1,
-      )
-      BenchOut.emit("table3",
-        f"${cfg.shorthand}%-4s " + scores.map { case (n, f) => f"$n=$f%.2f" }.mkString(" "))
-      scores.toMap
+      val row = Bench.table3Row(spark, cfg.shorthand)
+      BenchOut.emit("table3", row.render)
+      row.scores.toMap
     }
     def mean(m: String) = rows.map(_(m)).sum / rows.size
     BenchOut.emit("table3",

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.Tokenization
 import repro.data.Scenarios
 import repro.eval.Bench
 
@@ -16,25 +15,9 @@ class Table4Bench extends SparkSpec {
   test("Table 4: entity resolution across methods") {
     BenchOut.reset("table4")
     val rows = Scenarios.integrationConfigs.map { cfg =>
-      val b = Bench.bundle(spark, cfg.shorthand)
-      val strat = Tokenization.Overlap(b.shared)
-      val unsup = Seq(
-        "fastText" -> Bench.erScore(spark, b, b.pretrained).f1,
-        "EmbDI-S"  -> Bench.erScore(spark, b, b.embdiS.model).f1,
-        "EmbDI-F"  -> Bench.erScore(spark, b, b.embdiF.model).f1,
-        "EmbDI-O"  -> Bench.erScore(spark, b, b.embdiO.model).f1,
-        "Node2Vec" -> Bench.erScore(spark, b, b.node2vec.model).f1,
-        "Harp"     -> Bench.erScore(spark, b, b.harp.model).f1,
-      )
-      val sup = Seq(
-        "DeepERP"  -> Bench.deepEr(spark, b, b.pretrained, Tokenization.Flatten, tuned = false).f1,
-        "DeepERL"  -> Bench.deepEr(spark, b, b.embdiO.model, strat, tuned = false).f1,
-        "DeepERPt" -> Bench.deepEr(spark, b, b.pretrained, Tokenization.Flatten, tuned = true).f1,
-        "DeepERLt" -> Bench.deepEr(spark, b, b.embdiO.model, strat, tuned = true).f1,
-      )
-      BenchOut.emit("table4",
-        f"${cfg.shorthand}%-4s " + (unsup ++ sup).map { case (n, f) => f"$n=$f%.2f" }.mkString(" "))
-      (unsup ++ sup).toMap
+      val row = Bench.table4Row(spark, cfg.shorthand)
+      BenchOut.emit("table4", row.render)
+      row.scores.toMap
     }
     def mean(m: String) = rows.map(_(m)).sum / rows.size
     BenchOut.emit("table4",

@@ -8,20 +8,14 @@ import repro.eval.Bench
   */
 class Table5Bench extends SparkSpec {
 
-  private val scenarios = Seq("AG", "BB", "DA", "IA", "IM", "WA")
-  private val nTops = Seq(1, 5, 10, 100)
+  private val scenarios = Bench.table5Scenarios
 
   test("Table 5: n_top precision/recall trade-off") {
     BenchOut.reset("table5")
     val byScenario = scenarios.map { s =>
-      val b = Bench.bundle(spark, s)
-      val rows = nTops.map { k =>
-        val prf = Bench.erScore(spark, b, b.embdiO.model, nTop = k)
-        BenchOut.emit("table5",
-          f"$s%-4s ntop=$k%-4d P=${prf.precision}%.3f R=${prf.recall}%.3f F=${prf.f1}%.3f")
-        k -> prf
-      }.toMap
-      s -> rows
+      val rows = Bench.table5Rows(spark, s)
+      rows.foreach(r => BenchOut.emit("table5", r.render))
+      s -> rows.map(r => r.nTop -> r.prf).toMap
     }.toMap
     // expected trade-off: recall does not drop when n_top grows
     scenarios.foreach { s =>

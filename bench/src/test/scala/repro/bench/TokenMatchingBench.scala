@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.eval.Bench
-import repro.integration.TokenMatcher
 
 /** §7.2 Token Matching on the IM scenario: for the two aligned column pairs
   * holding the same entities in different formats (country names vs codes,
@@ -13,25 +12,9 @@ class TokenMatchingBench extends SparkSpec {
 
   test("Token matching on IM country and language columns") {
     BenchOut.reset("tokenmatching")
-    val b = Bench.bundle(spark, "IM")
-    val sc = b.scenario
-    sc.tokenMatchGt.foreach { case ((c1, c2), gtAll) =>
-      val dom1 = TokenMatcher.domain(sc.d1, c1)
-      val dom2 = TokenMatcher.domain(sc.d2, c2)
-      // d2 mixes codes and full names (codeProb < 1); ground truth pairs
-      // restricted to tokens that actually occur.
-      val gt = gtAll.filter { case (f, c) => dom1.contains(f) && dom2.contains(c) }
-      val inGt = gt.map(_._1).toSet
-      def restrict(pred: Seq[(String, String)]) = pred.filter(p => inGt(p._1))
-      val fPre = TokenMatcher.score(
-        restrict(TokenMatcher.matchByEmbedding(b.pretrained, dom1, dom2)), gt).f1
-      val fJac = TokenMatcher.score(restrict(TokenMatcher.matchByJaccard(dom1, dom2)), gt).f1
-      val fEmb = TokenMatcher.score(
-        restrict(TokenMatcher.matchByEmbedding(b.embdiO.model, dom1, dom2)), gt).f1
-      BenchOut.emit("tokenmatching",
-        f"$c1%-10s/$c2%-13s pretrained=$fPre%.2f jaccard=$fJac%.2f embdi=$fEmb%.2f " +
-        f"(|gt|=${gt.size})")
-      assert(fEmb >= fJac - 0.02, s"$c1: EmbDI $fEmb below Jaccard $fJac")
+    Bench.tokenMatchingRows(spark).foreach { r =>
+      BenchOut.emit("tokenmatching", r.render)
+      assert(r.embdi >= r.jaccard - 0.02, s"${r.col1}: EmbDI ${r.embdi} below Jaccard ${r.jaccard}")
     }
   }
 }

@@ -1,10 +1,8 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.Tokenization
 import repro.data.Scenarios
 import repro.eval.Bench
-import repro.integration.TokenMatcher
 
 /** spark-submit entrypoints, one per evaluation table. Each prints the same
   * rows the corresponding `repro.bench.Table*Bench` suite emits.
@@ -37,14 +35,7 @@ object Table1Job {
 object Table2Job {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("table2")
-    JobUtil.scenarios(args).foreach { s =>
-      val b = Bench.bundle(spark, s)
-      val tests = Bench.qualityTests(spark, s)
-      Seq("Basic" -> b.basic, "Node2Vec" -> b.node2vec.model,
-          "Harp" -> b.harp.model, "EmbDI" -> b.embdiO.model).foreach { case (n, m) =>
-        println(f"$s%-4s $n%-9s ${Bench.scoreQuality(m, tests).render}")
-      }
-    }
+    JobUtil.scenarios(args).foreach(s => Bench.table2Rows(spark, s).foreach(r => println(r.render)))
     spark.stop()
   }
 }
@@ -52,14 +43,7 @@ object Table2Job {
 object Table3Job {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("table3")
-    JobUtil.scenarios(args, pairsOnly = true).foreach { s =>
-      val b = Bench.bundle(spark, s)
-      println(f"$s%-4s Base=${Bench.smBase(spark, b).f1}%.2f " +
-        f"EmbDI=${Bench.smScore(spark, b, b.embdiO.model).f1}%.2f " +
-        f"Node2Vec=${Bench.smScore(spark, b, b.node2vec.model).f1}%.2f " +
-        f"Harp=${Bench.smScore(spark, b, b.harp.model).f1}%.2f " +
-        f"SeepP=${Bench.smSeepP(b).f1}%.2f SeepL=${Bench.smSeepL(b).f1}%.2f")
-    }
+    JobUtil.scenarios(args, pairsOnly = true).foreach(s => println(Bench.table3Row(spark, s).render))
     spark.stop()
   }
 }
@@ -67,20 +51,7 @@ object Table3Job {
 object Table4Job {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("table4")
-    JobUtil.scenarios(args, pairsOnly = true).foreach { s =>
-      val b = Bench.bundle(spark, s)
-      val strat = Tokenization.Overlap(b.shared)
-      println(f"$s%-4s fastText=${Bench.erScore(spark, b, b.pretrained).f1}%.2f " +
-        f"EmbDI-S=${Bench.erScore(spark, b, b.embdiS.model).f1}%.2f " +
-        f"EmbDI-F=${Bench.erScore(spark, b, b.embdiF.model).f1}%.2f " +
-        f"EmbDI-O=${Bench.erScore(spark, b, b.embdiO.model).f1}%.2f " +
-        f"Node2Vec=${Bench.erScore(spark, b, b.node2vec.model).f1}%.2f " +
-        f"Harp=${Bench.erScore(spark, b, b.harp.model).f1}%.2f " +
-        f"DeepERP=${Bench.deepEr(spark, b, b.pretrained, Tokenization.Flatten, tuned = false).f1}%.2f " +
-        f"DeepERL=${Bench.deepEr(spark, b, b.embdiO.model, strat, tuned = false).f1}%.2f " +
-        f"DeepERPt=${Bench.deepEr(spark, b, b.pretrained, Tokenization.Flatten, tuned = true).f1}%.2f " +
-        f"DeepERLt=${Bench.deepEr(spark, b, b.embdiO.model, strat, tuned = true).f1}%.2f")
-    }
+    JobUtil.scenarios(args, pairsOnly = true).foreach(s => println(Bench.table4Row(spark, s).render))
     spark.stop()
   }
 }
@@ -88,14 +59,8 @@ object Table4Job {
 object Table5Job {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("table5")
-    val scenarios = if (args.nonEmpty) args.toSeq else Seq("AG", "BB", "DA", "IA", "IM", "WA")
-    scenarios.foreach { s =>
-      val b = Bench.bundle(spark, s)
-      Seq(1, 5, 10, 100).foreach { k =>
-        val prf = Bench.erScore(spark, b, b.embdiO.model, nTop = k)
-        println(f"$s%-4s ntop=$k%-4d P=${prf.precision}%.3f R=${prf.recall}%.3f F=${prf.f1}%.3f")
-      }
-    }
+    val scenarios = if (args.nonEmpty) args.toSeq else Bench.table5Scenarios
+    scenarios.foreach(s => Bench.table5Rows(spark, s).foreach(r => println(r.render)))
     spark.stop()
   }
 }
@@ -111,18 +76,7 @@ object Table6Job {
 object TokenMatchingJob {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("tokenmatching")
-    val b = Bench.bundle(spark, "IM")
-    b.scenario.tokenMatchGt.foreach { case ((c1, c2), gtAll) =>
-      val dom1 = TokenMatcher.domain(b.scenario.d1, c1)
-      val dom2 = TokenMatcher.domain(b.scenario.d2, c2)
-      val gt = gtAll.filter { case (f, c) => dom1.contains(f) && dom2.contains(c) }
-      val inGt = gt.map(_._1).toSet
-      def restrict(p: Seq[(String, String)]) = p.filter(x => inGt(x._1))
-      println(f"$c1/$c2 " +
-        f"pretrained=${TokenMatcher.score(restrict(TokenMatcher.matchByEmbedding(b.pretrained, dom1, dom2)), gt).f1}%.2f " +
-        f"jaccard=${TokenMatcher.score(restrict(TokenMatcher.matchByJaccard(dom1, dom2)), gt).f1}%.2f " +
-        f"embdi=${TokenMatcher.score(restrict(TokenMatcher.matchByEmbedding(b.embdiO.model, dom1, dom2)), gt).f1}%.2f")
-    }
+    Bench.tokenMatchingRows(spark).foreach(r => println(r.render))
     spark.stop()
   }
 }

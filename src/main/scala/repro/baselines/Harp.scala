@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{CompactGraph, EmbeddingModel, EmbeddingTrainer, RandomWalker}
+import repro.core.{CompactGraph, EmbeddingTrainer, RandomWalker}
 
 import scala.util.Random
 
@@ -26,13 +26,12 @@ object Harp {
       walkLength: Int = 60,
       w2v: EmbeddingTrainer.W2VConfig = EmbeddingTrainer.W2VConfig(),
       seed: Long = 5555L,
-      numPartitions: Int = 16,
   )
 
   /** One coarsening step by randomized maximal edge matching.
     * Returns (coarse graph, fine-node-id → coarse-node-id). Coarse node
     * names are `h<level>__<representative>` so levels never collide. */
-  private[baselines] def coarsen(g: CompactGraph, level: Int, seed: Long): (CompactGraph, Array[Int]) = {
+  private[repro] def coarsen(g: CompactGraph, level: Int, seed: Long): (CompactGraph, Array[Int]) = {
     val rng = new Random(seed)
     val match_ = Array.fill(g.numNodes)(-1)
     // Visit nodes in random order; match each unmatched node to a random
@@ -57,15 +56,14 @@ object Harp {
     (coarse, mapping)
   }
 
-  final case class Result(model: EmbeddingModel, walkMs: Long, trainMs: Long)
-
-  /** Train HARP embeddings over the finest graph `g0`. */
-  def train(spark: SparkSession, g0: CompactGraph, cfg: Config): Result = {
-    import spark.implicits._
-    val t0 = System.nanoTime()
-
-    // Build the hierarchy with member lists per coarse node (fine names).
-    var graphs = List((g0, Array.tabulate(g0.numNodes)(identity))) // (graph, fine->level mapping)
+  /** The combined walk corpus over `g0` and its `cfg.levels` coarsenings,
+    * each level with an equal share of the token budget. Walks are uniform
+    * (no first-step RID) and each supernode is written as a member drawn
+    * with the walk's own RNG; level `l` seeds its walks at start-id offset
+    * `l · 1 000 003`, so levels never share a walk seed. */
+  private[repro] def corpus(spark: SparkSession, g0: CompactGraph, cfg: Config): DataFrame = {
+    // Build the hierarchy with the fine-node → level-node mapping per level.
+    var graphs = List((g0, Array.tabulate(g0.numNodes)(identity)))
     var fineToLevel = Array.tabulate(g0.numNodes)(identity)
     var cur = g0
     (1 to cfg.levels).foreach { lvl =>
@@ -75,39 +73,27 @@ object Harp {
       cur = coarse
     }
 
-    // Per level: member lists (fine node names per level-node id).
-    val corpora: Seq[DataFrame] = graphs.zipWithIndex.map { case ((g, fineMap), lvlIdx) =>
+    val walkLength = cfg.walkLength
+    graphs.zipWithIndex.map { case ((g, fineMap), lvlIdx) =>
+      // Member lists: fine node names per level-node id.
       val members: Array[Array[String]] = {
         val acc = Array.fill(g.numNodes)(List.empty[String])
         (0 until g0.numNodes).foreach { u => acc(fineMap(u)) ::= g0.names(u) }
         acc.map(_.toArray)
       }
-      val budget = cfg.corpusTokens / graphs.size
-      val bg = spark.sparkContext.broadcast((g, members))
-      val starts = (0 until g.numNodes).filter(g.degree(_) > 0).toIndexedSeq
-      val totalWalks = math.max(starts.size.toLong, budget / cfg.walkLength)
-      val perNode = math.max(1L, totalWalks / starts.size).toInt
-      spark.sparkContext.parallelize(starts, cfg.numPartitions).flatMap { s =>
-        val (graph, mem) = bg.value
-        (0 until perNode).iterator.map { w =>
-          val rng = repro.core.Rand.of(cfg.seed, lvlIdx.toLong * 1_000_003L + s, w.toLong)
-          val walk = RandomWalker.walkFrom(graph, s,
-            RandomWalker.WalkConfig(walkLength = cfg.walkLength, firstStepRid = false), rng)
-          walk.map { id =>
+      RandomWalker.walkCorpus(spark, (g, members), RandomWalker.startNodes(g, RandomWalker.AllNodes),
+        cfg.corpusTokens / graphs.size, walkLength, cfg.seed, seedOffset = lvlIdx.toLong * 1_000_003L) {
+        case ((graph, mem), start, rng) =>
+          RandomWalker.uniformWalk(graph, start, walkLength, rng).map { id =>
             val m = mem(id)
             if (m.isEmpty) graph.names(id) else m(rng.nextInt(m.length))
           }
-        }
-      }.toDF("sentence")
-    }
-
-    val corpus = corpora.reduce(_ union _)
-      .persist(org.apache.spark.storage.StorageLevel.MEMORY_AND_DISK)
-    corpus.count()
-    val t1 = System.nanoTime()
-    val model = EmbeddingTrainer.train(corpus, cfg.w2v)
-    val t2 = System.nanoTime()
-    corpus.unpersist()
-    Result(model, (t1 - t0) / 1_000_000L, (t2 - t1) / 1_000_000L)
+      }
+    }.reduce(_ union _)
   }
+
+  /** Train HARP embeddings over the finest graph `g0`; the walk time
+    * includes building the hierarchy. */
+  def train(spark: SparkSession, g0: CompactGraph, cfg: Config): EmbeddingTrainer.Trained =
+    EmbeddingTrainer.walkThenTrain(corpus(spark, g0, cfg), cfg.w2v)
 }

@@ -74,14 +74,7 @@ object EmbDI {
       else cfg.walk.corpusTokens
     val walkCfg = cfg.walk.copy(corpusTokens = corpusTokens)
 
-    val ((corpus, nSentences), walkMs) = timed {
-      val c = RandomWalker.corpus(spark, graph, walkCfg).persist(StorageLevel.MEMORY_AND_DISK)
-      (c, c.count()) // count() materialises the corpus so walk time is real
-    }
-
-    val (model, trainMs) = timed(EmbeddingTrainer.train(corpus, cfg.w2v))
-    corpus.unpersist()
-
-    Result(model, graph, nSentences, nDistinct, Timings(graphMs, walkMs, trainMs))
+    val t = EmbeddingTrainer.walkThenTrain(RandomWalker.corpus(spark, graph, walkCfg), cfg.w2v)
+    Result(t.model, graph, t.nSentences, nDistinct, Timings(graphMs, t.walkMs, t.trainMs))
   }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.ml.feature.Word2Vec
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.storage.StorageLevel
 
 /** Embedding construction (§4.3) on top of Spark MLlib's Word2Vec
   * (distributed skip-gram with hierarchical softmax).
@@ -40,5 +41,22 @@ object EmbeddingTrainer {
       r.getString(0) -> r.getAs[org.apache.spark.ml.linalg.Vector](1).toArray.map(_.toFloat)
     }
     EmbeddingModel(pairs.toIndexedSeq)
+  }
+
+  /** A model trained on a walk corpus, with the corpus size and the walk (W)
+    * and train (E) wall-clock times of Table 6. */
+  final case class Trained(model: EmbeddingModel, nSentences: Long, walkMs: Long, trainMs: Long)
+
+  /** Build `corpus`, materialise it (so W is real walk time, not deferred
+    * into E), train on it, then release it. */
+  def walkThenTrain(corpus: => DataFrame, cfg: W2VConfig): Trained = {
+    val t0 = System.nanoTime()
+    val c = corpus.persist(StorageLevel.MEMORY_AND_DISK)
+    val nSentences = c.count()
+    val t1 = System.nanoTime()
+    val model = train(c, cfg)
+    val t2 = System.nanoTime()
+    c.unpersist()
+    Trained(model, nSentences, (t1 - t0) / 1_000_000L, (t2 - t1) / 1_000_000L)
   }
 }

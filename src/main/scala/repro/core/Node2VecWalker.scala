@@ -5,8 +5,11 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
-/** Second-order biased random walks of node2vec (Grover & Leskovec, KDD'16)
-  * over the same tripartite graph — the paper's Node2Vec baseline.
+/** The Node2Vec baseline of §7: node2vec's second-order biased walks
+  * (Grover & Leskovec, KDD'16) over the same tripartite graph ("given our
+  * graph as input, it learns vectors for all nodes"), then the same Word2Vec
+  * training (`EmbeddingTrainer.walkThenTrain`). Default p = q = 1 as in the
+  * node2vec paper's defaults.
   *
   * Transition weight from `cur` to candidate `x` given previous node `prev`:
   * `1/p` if `x == prev`, `1` if `x` is a neighbor of `prev`, `1/q` otherwise.
@@ -21,8 +24,10 @@ object Node2VecWalker {
       p: Double = 1.0,
       q: Double = 1.0,
       seed: Long = 4321L,
-      numPartitions: Int = 16,
   )
+
+  /** Rejected candidates after which a step gives up (see [[walkFrom]]). */
+  private val MaxTries = 1000
 
   private[core] def walkFrom(graph: CompactGraph, start: Int, cfg: N2VConfig,
                              rng: Random): Array[Int] = {
@@ -46,7 +51,12 @@ object Node2VecWalker {
             else if (graph.hasEdge(prev, cand)) 1.0
             else 1.0 / cfg.q
           guard += 1
-          if (rng.nextDouble() * wMax <= w || guard > 1000) { next = cand; accepted = true }
+          if (rng.nextDouble() * wMax <= w) { next = cand; accepted = true }
+          else if (guard >= MaxTries)
+            // Accepting anyway would bias the walk; p or q is too extreme
+            // for rejection sampling at this node.
+            throw new IllegalStateException(s"node2vec step from ${graph.names(cur)} rejected " +
+              s"$MaxTries candidates in a row (p = ${cfg.p}, q = ${cfg.q})")
         }
       }
       out += next
@@ -56,22 +66,11 @@ object Node2VecWalker {
     out.toArray
   }
 
-  /** Walk corpus as DataFrame[array<string>], mirroring
-    * [[RandomWalker.corpus]] (broadcast CSR + RDD of seeds). */
-  def corpus(spark: SparkSession, graph: CompactGraph, cfg: N2VConfig): DataFrame = {
-    import spark.implicits._
-    val starts = Array.range(0, graph.numNodes).filter(graph.degree(_) > 0)
-    val totalWalks = math.max(starts.length.toLong, cfg.corpusTokens / cfg.walkLength)
-    val perNode = math.max(1L, totalWalks / starts.length).toInt
-    val bg = spark.sparkContext.broadcast(graph)
-    spark.sparkContext.parallelize(starts.toIndexedSeq, cfg.numPartitions)
-      .flatMap { startId =>
-        val g = bg.value
-        (0 until perNode).iterator.map { w =>
-          val rng = Rand.of(cfg.seed, startId.toLong, w.toLong)
-          walkFrom(g, startId, cfg, rng).map(g.names)
-        }
-      }
-      .toDF("sentence")
-  }
+  /** Walk corpus as DataFrame[array<string>] from every connected node,
+    * through [[RandomWalker.walkCorpus]]. */
+  def corpus(spark: SparkSession, graph: CompactGraph, cfg: N2VConfig): DataFrame =
+    RandomWalker.walkCorpus(spark, graph, RandomWalker.startNodes(graph, RandomWalker.AllNodes),
+      cfg.corpusTokens, cfg.walkLength, cfg.seed) { (g, start, rng) =>
+      walkFrom(g, start, cfg, rng).map(g.names)
+    }
 }

@@ -2,11 +2,15 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-import scala.collection.mutable.ArrayBuffer
+import scala.reflect.ClassTag
 import scala.util.Random
 
 /** Sentence construction via random walks (§4.2, Algorithm 2) with the §5.1
   * budget / overlap-start heuristics and the §5.3 node-replacement hook.
+  *
+  * [[walkCorpus]] is the one corpus driver behind EmbDI, node2vec
+  * ([[Node2VecWalker]]) and HARP (`repro.baselines.Harp`): each of them only
+  * supplies how one sentence is built from a start node.
   */
 object RandomWalker {
 
@@ -14,8 +18,6 @@ object RandomWalker {
   sealed trait StartStrategy
   /** Every node starts walks — the single-relation default. */
   case object AllNodes extends StartStrategy
-  /** Only token nodes start walks. */
-  case object TokenNodes extends StartStrategy
   /** §5.1 imbalance heuristic: only tokens occurring in *both* datasets
     * (the bridge nodes) start walks. */
   final case class OverlapTokens(shared: Set[String]) extends StartStrategy
@@ -27,41 +29,45 @@ object RandomWalker {
         * guaranteed budget of ≥ 1 walk per start node (§4.2). */
       corpusTokens: Long = 1_000_000L,
       startStrategy: StartStrategy = AllNodes,
-      /** Algorithm 2: prepend a neighboring RID to the walk; §5.1 widens the
-        * pick to "RID or CID" to strengthen bridge evidence (set
-        * `firstStepOrCid` when using the overlap start strategy). */
-      firstStepRid: Boolean = true,
+      /** Algorithm 2 prepends a neighboring RID to walks from a token; §5.1
+        * widens the pick to "RID or CID" to strengthen bridge evidence (set
+        * when using the overlap start strategy). */
       firstStepOrCid: Boolean = false,
       /** §5.3 emission-time replacement: node name → (replacement, prob).
         * The walk itself keeps stepping from the original node. */
       replacements: Map[String, (String, Double)] = Map.empty,
       seed: Long = 1234L,
-      numPartitions: Int = 16,
   )
 
   /** Ids of the nodes that receive a walk budget under `strategy`. */
   def startNodes(graph: CompactGraph, strategy: StartStrategy): Array[Int] =
     strategy match {
-      case AllNodes   => Array.range(0, graph.numNodes).filter(graph.degree(_) > 0)
-      case TokenNodes => graph.nodeIdsOfType(0).filter(graph.degree(_) > 0)
+      case AllNodes => Array.range(0, graph.numNodes).filter(graph.degree(_) > 0)
       case OverlapTokens(shared) =>
         graph.nodeIdsOfType(0).filter(i => graph.degree(i) > 0 && shared.contains(graph.names(i)))
     }
 
-  /** One walk from `start`, as node ids (before replacement). */
-  private[repro] def walkFrom(graph: CompactGraph, start: Int, cfg: WalkConfig,
-                             rng: Random): Array[Int] = {
-    val out = new ArrayBuffer[Int](cfg.walkLength)
-    if (cfg.firstStepRid && graph.isToken(start))
-      out += graph.randomNeighborOfKind(start, rng, orCid = cfg.firstStepOrCid)
-    out += start
-    var cur = start
-    while (out.length < cfg.walkLength) {
-      cur = graph.randomNeighbor(cur, rng)
-      out += cur
+  /** A uniform walk of `length` nodes (at least one) from `start`. */
+  private[repro] def uniformWalk(graph: CompactGraph, start: Int, length: Int,
+                                 rng: Random): Array[Int] = {
+    val out = new Array[Int](math.max(length, 1))
+    out(0) = start
+    var i = 1
+    while (i < out.length) {
+      out(i) = graph.randomNeighbor(out(i - 1), rng)
+      i += 1
     }
-    out.toArray
+    out
   }
+
+  /** One EmbDI walk from `start`, as node ids (before replacement): a walk
+    * from a token opens with a neighboring RID (or CID) first. */
+  private[repro] def walkFrom(graph: CompactGraph, start: Int, cfg: WalkConfig,
+                             rng: Random): Array[Int] =
+    if (graph.isToken(start)) {
+      val first = graph.randomNeighborOfKind(start, rng, orCid = cfg.firstStepOrCid)
+      first +: uniformWalk(graph, start, cfg.walkLength - 1, rng)
+    } else uniformWalk(graph, start, cfg.walkLength, rng)
 
   /** Render a walk into a sentence, applying emission-time replacement. */
   private[repro] def emit(graph: CompactGraph, walk: Array[Int], cfg: WalkConfig,
@@ -74,31 +80,36 @@ object RandomWalker {
       }
     }
 
-  /** Generate the walk corpus as a DataFrame with one `sentence` column of
-    * `array<string>` — the shape MLlib Word2Vec consumes. The graph is
-    * broadcast; walk seeds are an RDD and the walking itself is a
-    * `mapPartitions` over them. Deterministic in (cfg.seed, partitioning). */
-  def corpus(spark: SparkSession, graph: CompactGraph, cfg: WalkConfig): DataFrame = {
+  /** The walk corpus as a DataFrame with one `sentence` column of
+    * `array<string>` — the shape MLlib Word2Vec consumes.
+    *
+    * The budget is `max(#starts, corpusTokens / walkLength)` walks, split
+    * evenly with at least one walk per start node. `payload` (the graph) is
+    * broadcast, the start ids are an RDD, and walk `w` from `start` builds
+    * its sentence with an RNG seeded by `(seed, seedOffset + start, w)` only.
+    * The collected corpus is therefore the sentences of starts × walks in
+    * that order, whatever the partitioning. */
+  private[repro] def walkCorpus[P: ClassTag](spark: SparkSession, payload: P, starts: Array[Int],
+      corpusTokens: Long, walkLength: Int, seed: Long, seedOffset: Long = 0L)(
+      sentence: (P, Int, Random) => Array[String]): DataFrame = {
     import spark.implicits._
-    val starts = startNodes(graph, cfg.startStrategy)
     require(starts.nonEmpty, "no start nodes — empty graph or empty overlap set")
-    val totalWalks = math.max(starts.length.toLong, cfg.corpusTokens / cfg.walkLength)
+    val totalWalks = math.max(starts.length.toLong, corpusTokens / walkLength)
     val perNode = math.max(1L, totalWalks / starts.length).toInt
-    val bg = spark.sparkContext.broadcast(graph)
-    val seeds = spark.sparkContext.parallelize(starts.toIndexedSeq, cfg.numPartitions)
-    seeds
-      .flatMap { startId =>
-        val g = bg.value
-        (0 until perNode).iterator.map { w =>
-          // Seed depends only on (global seed, start node, walk index) so the
-          // corpus is independent of partitioning; mixed so nearby seeds are
-          // uncorrelated (the first draw picks the prepended RID).
-          val rng = Rand.of(cfg.seed, startId.toLong, w.toLong)
-          emit(g, walkFrom(g, startId, cfg, rng), cfg, rng)
-        }
+    val bp = spark.sparkContext.broadcast(payload)
+    spark.sparkContext.parallelize(starts.toIndexedSeq, 16)
+      .flatMap { start =>
+        val p = bp.value
+        // Mixed seeds, so nearby start ids give uncorrelated walks.
+        (0 until perNode).iterator.map(w => sentence(p, start, Rand.of(seed, seedOffset + start, w.toLong)))
       }
       .toDF("sentence")
   }
+
+  /** EmbDI's corpus (Algorithm 2) over `graph`. */
+  def corpus(spark: SparkSession, graph: CompactGraph, cfg: WalkConfig): DataFrame =
+    walkCorpus(spark, graph, startNodes(graph, cfg.startStrategy), cfg.corpusTokens,
+      cfg.walkLength, cfg.seed) { (g, start, rng) => emit(g, walkFrom(g, start, cfg, rng), cfg, rng) }
 
   /** Paper's corpus-size rule of thumb (§7.3):
     * `#corpus tokens = (#distinct values + #rows) * factor` (paper uses

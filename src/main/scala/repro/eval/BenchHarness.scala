@@ -8,9 +8,9 @@ import repro.integration._
 
 /** Shared machinery behind the per-table bench suites and the
   * `jobs/Table*Job` spark-submit entrypoints: one lazily-trained bundle of
-  * scenario + models per dataset shorthand, plus the row computations for
-  * each table of §7. All parameters come from [[Bench.Params]]; seeds are
-  * fixed so repeated runs agree.
+  * scenario + models per dataset shorthand, plus one row function per table
+  * of §7 (computation and rendering) that both of them call. All parameters
+  * come from [[Bench.Params]]; seeds are fixed so repeated runs agree.
   */
 object Bench {
 
@@ -91,13 +91,12 @@ object Bench {
         corpusTokens = corpusTokens, strategy = Tokenization.Overlap(shared),
         w2v = w2v(), seed = params.seed))
 
-    lazy val node2vec: Node2VecEmbeddings.Result =
-      Node2VecEmbeddings.train(spark, embdiO.graph, Node2VecEmbeddings.Config(
+    lazy val node2vec: EmbeddingTrainer.Trained =
+      EmbeddingTrainer.walkThenTrain(Node2VecWalker.corpus(spark, embdiO.graph,
         Node2VecWalker.N2VConfig(walkLength = params.walkLength,
-          corpusTokens = corpusTokens, seed = params.seed),
-        w2v()))
+          corpusTokens = corpusTokens, seed = params.seed)), w2v())
 
-    lazy val harp: Harp.Result =
+    lazy val harp: EmbeddingTrainer.Trained =
       Harp.train(spark, embdiO.graph, Harp.Config(
         levels = 2, corpusTokens = corpusTokens, walkLength = params.walkLength,
         w2v = w2v(), seed = params.seed))
@@ -176,7 +175,27 @@ object Bench {
       QualityTests.evaluate(model, tests("MR"), 12L),
       QualityTests.evaluate(model, tests("MC"), 13L))
 
+  final case class QualityRow(shorthand: String, method: String, scores: QualityScores) {
+    def render: String = f"$shorthand%-4s $method%-9s ${scores.render}"
+  }
+
+  /** Table 2 rows of one scenario: Basic, Node2Vec, Harp and EmbDI scored
+    * on the same test sets. */
+  def table2Rows(spark: SparkSession, shorthand: String): Seq[QualityRow] = {
+    val b = bundle(spark, shorthand)
+    val tests = qualityTests(spark, shorthand)
+    Seq("Basic" -> b.basic, "Node2Vec" -> b.node2vec.model, "Harp" -> b.harp.model,
+        "EmbDI" -> b.embdiO.model)
+      .map { case (method, model) => QualityRow(shorthand, method, scoreQuality(model, tests)) }
+  }
+
   // ----------------------------------------------------------------- Table 3
+
+  /** F-measures of several methods on one scenario (Tables 3 and 4). */
+  final case class FRow(shorthand: String, scores: Seq[(String, Double)]) {
+    def render: String =
+      f"$shorthand%-4s " + scores.map { case (n, f) => f"$n=$f%.2f" }.mkString(" ")
+  }
 
   /** Schema-matching F for one method's embeddings via Algorithm 5. */
   def smScore(spark: SparkSession, b: Bundle, model: EmbeddingModel): PRF = {
@@ -198,6 +217,18 @@ object Bench {
     Metrics.prf(Seep.runLocal(b.scenario.d1, b.scenario.d2, b.embdiO.model,
       Tokenization.Overlap(b.shared)).toSet,
       b.scenario.colMatches.toSet)
+
+  def table3Row(spark: SparkSession, shorthand: String): FRow = {
+    val b = bundle(spark, shorthand)
+    FRow(shorthand, Seq(
+      "Base"     -> smBase(spark, b).f1,
+      "EmbDI"    -> smScore(spark, b, b.embdiO.model).f1,
+      "Node2Vec" -> smScore(spark, b, b.node2vec.model).f1,
+      "Harp"     -> smScore(spark, b, b.harp.model).f1,
+      "SeepP"    -> smSeepP(b).f1,
+      "SeepL"    -> smSeepL(b).f1,
+    ))
+  }
 
   // ----------------------------------------------------------------- Table 4
 
@@ -224,6 +255,66 @@ object Bench {
       strategy, b.groundTruth,
       DeepER.Config(labelFraction = labelFraction, tuned = tuned, seed = params.seed),
       candidatePairs = Some(b.scenario.candidates))
+
+  /** Table 4: unsupervised ER (Algorithm 6, n_top = 10) per embedding,
+    * then supervised DeepER with pre-trained vs EmbDI embeddings. */
+  def table4Row(spark: SparkSession, shorthand: String): FRow = {
+    val b = bundle(spark, shorthand)
+    val strat = Tokenization.Overlap(b.shared)
+    FRow(shorthand, Seq(
+      "fastText" -> erScore(spark, b, b.pretrained).f1,
+      "EmbDI-S"  -> erScore(spark, b, b.embdiS.model).f1,
+      "EmbDI-F"  -> erScore(spark, b, b.embdiF.model).f1,
+      "EmbDI-O"  -> erScore(spark, b, b.embdiO.model).f1,
+      "Node2Vec" -> erScore(spark, b, b.node2vec.model).f1,
+      "Harp"     -> erScore(spark, b, b.harp.model).f1,
+      "DeepERP"  -> deepEr(spark, b, b.pretrained, Tokenization.Flatten, tuned = false).f1,
+      "DeepERL"  -> deepEr(spark, b, b.embdiO.model, strat, tuned = false).f1,
+      "DeepERPt" -> deepEr(spark, b, b.pretrained, Tokenization.Flatten, tuned = true).f1,
+      "DeepERLt" -> deepEr(spark, b, b.embdiO.model, strat, tuned = true).f1,
+    ))
+  }
+
+  // ----------------------------------------------------------------- Table 5
+
+  /** The scenarios the paper reports in Table 5. */
+  val table5Scenarios: Seq[String] = Seq("AG", "BB", "DA", "IA", "IM", "WA")
+
+  final case class NTopRow(shorthand: String, nTop: Int, prf: PRF) {
+    def render: String = f"$shorthand%-4s ntop=$nTop%-4d $prf"
+  }
+
+  def table5Rows(spark: SparkSession, shorthand: String): Seq[NTopRow] = {
+    val b = bundle(spark, shorthand)
+    Seq(1, 5, 10, 100).map(k => NTopRow(shorthand, k, erScore(spark, b, b.embdiO.model, nTop = k)))
+  }
+
+  // -------------------------------------------------------- token matching
+
+  final case class TokenMatchRow(col1: String, col2: String, pretrained: Double,
+                                 jaccard: Double, embdi: Double, gtSize: Int) {
+    def render: String =
+      f"$col1%-10s/$col2%-13s pretrained=$pretrained%.2f jaccard=$jaccard%.2f " +
+      f"embdi=$embdi%.2f (|gt|=$gtSize)"
+  }
+
+  /** §7.2 token matching on IM, one row per aligned column pair holding the
+    * same entities in different formats. View 2 mixes codes and full names,
+    * so the ground truth is restricted to tokens that actually occur and
+    * predictions to tokens in the ground truth. */
+  def tokenMatchingRows(spark: SparkSession): Seq[TokenMatchRow] = {
+    val b = bundle(spark, "IM")
+    b.scenario.tokenMatchGt.map { case ((c1, c2), gtAll) =>
+      val dom1 = TokenMatcher.domain(b.scenario.d1, c1)
+      val dom2 = TokenMatcher.domain(b.scenario.d2, c2)
+      val gt = gtAll.filter { case (f, c) => dom1.contains(f) && dom2.contains(c) }
+      val inGt = gt.map(_._1).toSet
+      def f1(pred: Seq[(String, String)]) = TokenMatcher.score(pred.filter(p => inGt(p._1)), gt).f1
+      TokenMatchRow(c1, c2, f1(TokenMatcher.matchByEmbedding(b.pretrained, dom1, dom2)),
+        f1(TokenMatcher.matchByJaccard(dom1, dom2)),
+        f1(TokenMatcher.matchByEmbedding(b.embdiO.model, dom1, dom2)), gt.size)
+    }.toSeq
+  }
 
   // ----------------------------------------------------------------- Table 6
 

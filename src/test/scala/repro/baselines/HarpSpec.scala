@@ -53,4 +53,9 @@ class HarpSpec extends SparkSpec {
     assert(embedded > graph.numNodes / 2, s"$embedded of ${graph.numNodes}")
     assert(res.walkMs > 0 && res.trainMs > 0)
   }
+
+  test("train over a graph with no start nodes is rejected, not divided by zero") {
+    val e = intercept[IllegalArgumentException](Harp.train(spark, CompactGraph.build(Seq.empty), Harp.Config()))
+    assert(e.getMessage.contains("no start nodes"))
+  }
 }

@@ -54,4 +54,22 @@ class Node2VecWalkerSpec extends SparkSpec {
     val b = corpus(spark, graph, cfg).collect().map(_.getSeq[String](0).mkString(" ")).sorted
     assert(a.sameElements(b))
   }
+
+  test("corpus over a graph with no start nodes is rejected, not divided by zero") {
+    val e = intercept[IllegalArgumentException](corpus(spark, CompactGraph.build(Seq.empty), N2VConfig()))
+    assert(e.getMessage.contains("no start nodes"))
+  }
+
+  test("a step that rejects 1000 candidates in a row fails loudly") {
+    // A hub token with 10 000 RID leaves, walked from a leaf with p = 1e-9:
+    // from the hub only the way back is accepted (weight 1/p against 1 for
+    // the other leaves), so each try accepts with probability ~1e-4.
+    val star = CompactGraph.build((0 until 10000).map(i => ("hub", NodeNames.rid(i.toLong))))
+    val e = intercept[IllegalStateException] {
+      walkFrom(star, star.index(NodeNames.rid(0L)), N2VConfig(walkLength = 20, p = 1e-9, q = 1.0),
+        new Random(11))
+    }
+    assert(e.getMessage.contains("hub") && e.getMessage.contains("p = 1.0E-9") &&
+      e.getMessage.contains("q = 1.0"))
+  }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 
 import scala.util.Random
@@ -68,12 +69,6 @@ class RandomWalkerSpec extends SparkSpec {
     assert(startNodes(graph, AllNodes).length == graph.numNodes)
   }
 
-  test("startNodes TokenNodes picks exactly the token nodes") {
-    val s = startNodes(graph, TokenNodes)
-    assert(s.forall(graph.isToken))
-    assert(s.length == graph.nodeIdsOfType(0).length)
-  }
-
   test("startNodes OverlapTokens restricts to the shared set") {
     val s = startNodes(graph, OverlapTokens(Set("ipad", "galaxy")))
     assert(s.map(graph.names).toSet == Set("ipad", "galaxy"))
@@ -91,13 +86,6 @@ class RandomWalkerSpec extends SparkSpec {
     val sentences = corpus(spark, graph, cfg).collect().map(_.getSeq[String](0))
     val starts = startNodes(graph, cfg.startStrategy)
     val perNode = math.max(1, (5000 / 5) / starts.length)
-    // count walks by their start node: for tokens that's position 1 (after
-    // the prepended RID), for rid/cid nodes position 0.
-    val counts = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
-    sentences.foreach { s =>
-      val head = if (NodeNames.isRid(s.head) || NodeNames.isCid(s.head)) s.head else s.head
-      counts(head) += 1
-    }
     assert(sentences.length == starts.length.toLong * perNode)
   }
 
@@ -117,12 +105,25 @@ class RandomWalkerSpec extends SparkSpec {
   }
 
   test("corpus is invariant to the number of partitions") {
-    val base = WalkConfig(walkLength = 8, corpusTokens = 1000, seed = 42)
-    val a = corpus(spark, graph, base.copy(numPartitions = 2))
-      .collect().map(_.getSeq[String](0).mkString(" ")).sorted
-    val b = corpus(spark, graph, base.copy(numPartitions = 7))
-      .collect().map(_.getSeq[String](0).mkString(" ")).sorted
-    assert(a.sameElements(b))
+    val cfg = WalkConfig(walkLength = 8, corpusTokens = 1000, seed = 42)
+    def sentences(df: DataFrame) =
+      df.collect().map(_.getSeq[String](0).mkString(" ")).toSeq
+    val c = sentences(corpus(spark, graph, cfg))
+    assert(c == sentences(ReferenceWalks.embdi(spark, graph, cfg, numPartitions = 2)))
+    assert(c == sentences(ReferenceWalks.embdi(spark, graph, cfg, numPartitions = 7)))
+  }
+
+  test("corpus equals the sequential walks of starts x perNode seeded by (seed, start, walk)") {
+    // The seed contract that makes the corpus independent of partitioning.
+    val cfg = WalkConfig(walkLength = 8, corpusTokens = 1000, seed = 42,
+      replacements = Map("ipad" -> ("tablet", 0.5)))
+    val starts = startNodes(graph, cfg.startStrategy)
+    val perNode = math.max(1, (1000 / 8) / starts.length)
+    val expected = for (s <- starts.toSeq; w <- 0 until perNode) yield {
+      val rng = Rand.of(42L, s.toLong, w.toLong)
+      emit(graph, walkFrom(graph, s, cfg, rng), cfg, rng).toSeq
+    }
+    assert(corpus(spark, graph, cfg).collect().map(_.getSeq[String](0)).toSeq == expected)
   }
 
   test("replacement rewrites emissions with probability, never the path") {

@@ -1,0 +1,158 @@
+package repro.core
+
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.baselines.Harp
+
+import scala.collection.mutable.ArrayBuffer
+import scala.util.Random
+
+/** The three walk-corpus drivers as they were before the single driver
+  * `RandomWalker.walkCorpus`: EmbDI's `RandomWalker.corpus`,
+  * `Node2VecWalker.corpus` and HARP's per-level loop, each with its own
+  * start filter, budget rule, broadcast, seeding and `toDF`. Kept as the
+  * reference that [[WalkEngineSpec]] checks the new drivers against. The
+  * walk-stepping code is copied too, so a change there shows as well. The
+  * removed config fields (`numPartitions`, `firstStepRid`) are arguments.
+  */
+object ReferenceWalks {
+
+  // ------------------------------------------------------------------ EmbDI
+
+  private def walkFrom(graph: CompactGraph, start: Int, cfg: RandomWalker.WalkConfig,
+                       firstStepRid: Boolean, rng: Random): Array[Int] = {
+    val out = new ArrayBuffer[Int](cfg.walkLength)
+    if (firstStepRid && graph.isToken(start))
+      out += graph.randomNeighborOfKind(start, rng, orCid = cfg.firstStepOrCid)
+    out += start
+    var cur = start
+    while (out.length < cfg.walkLength) {
+      cur = graph.randomNeighbor(cur, rng)
+      out += cur
+    }
+    out.toArray
+  }
+
+  private def emit(graph: CompactGraph, walk: Array[Int], cfg: RandomWalker.WalkConfig,
+                   rng: Random): Array[String] =
+    walk.map { id =>
+      val name = graph.names(id)
+      cfg.replacements.get(name) match {
+        case Some((repl, p)) if rng.nextDouble() < p => repl
+        case _ => name
+      }
+    }
+
+  def embdi(spark: SparkSession, graph: CompactGraph, cfg: RandomWalker.WalkConfig,
+            numPartitions: Int = 16): DataFrame = {
+    import spark.implicits._
+    val starts = RandomWalker.startNodes(graph, cfg.startStrategy)
+    require(starts.nonEmpty, "no start nodes — empty graph or empty overlap set")
+    val totalWalks = math.max(starts.length.toLong, cfg.corpusTokens / cfg.walkLength)
+    val perNode = math.max(1L, totalWalks / starts.length).toInt
+    val bg = spark.sparkContext.broadcast(graph)
+    val seeds = spark.sparkContext.parallelize(starts.toIndexedSeq, numPartitions)
+    seeds
+      .flatMap { startId =>
+        val g = bg.value
+        (0 until perNode).iterator.map { w =>
+          val rng = Rand.of(cfg.seed, startId.toLong, w.toLong)
+          emit(g, walkFrom(g, startId, cfg, firstStepRid = true, rng), cfg, rng)
+        }
+      }
+      .toDF("sentence")
+  }
+
+  // --------------------------------------------------------------- node2vec
+
+  private def n2vWalkFrom(graph: CompactGraph, start: Int, cfg: Node2VecWalker.N2VConfig,
+                          rng: Random): Array[Int] = {
+    val out = new ArrayBuffer[Int](cfg.walkLength)
+    out += start
+    if (graph.degree(start) == 0) return out.toArray
+    var prev = -1
+    var cur = start
+    val wMax = math.max(1.0, math.max(1.0 / cfg.p, 1.0 / cfg.q))
+    while (out.length < cfg.walkLength) {
+      var next = -1
+      if (prev < 0) next = graph.randomNeighbor(cur, rng)
+      else {
+        var accepted = false
+        var guard = 0
+        while (!accepted) {
+          val cand = graph.randomNeighbor(cur, rng)
+          val w =
+            if (cand == prev) 1.0 / cfg.p
+            else if (graph.hasEdge(prev, cand)) 1.0
+            else 1.0 / cfg.q
+          guard += 1
+          if (rng.nextDouble() * wMax <= w || guard > 1000) { next = cand; accepted = true }
+        }
+      }
+      out += next
+      prev = cur
+      cur = next
+    }
+    out.toArray
+  }
+
+  def node2vec(spark: SparkSession, graph: CompactGraph, cfg: Node2VecWalker.N2VConfig,
+               numPartitions: Int = 16): DataFrame = {
+    import spark.implicits._
+    val starts = Array.range(0, graph.numNodes).filter(graph.degree(_) > 0)
+    val totalWalks = math.max(starts.length.toLong, cfg.corpusTokens / cfg.walkLength)
+    val perNode = math.max(1L, totalWalks / starts.length).toInt
+    val bg = spark.sparkContext.broadcast(graph)
+    spark.sparkContext.parallelize(starts.toIndexedSeq, numPartitions)
+      .flatMap { startId =>
+        val g = bg.value
+        (0 until perNode).iterator.map { w =>
+          val rng = Rand.of(cfg.seed, startId.toLong, w.toLong)
+          n2vWalkFrom(g, startId, cfg, rng).map(g.names)
+        }
+      }
+      .toDF("sentence")
+  }
+
+  // ------------------------------------------------------------------- HARP
+
+  /** HARP's combined corpus over all levels (before persisting/training). */
+  def harp(spark: SparkSession, g0: CompactGraph, cfg: Harp.Config,
+           numPartitions: Int = 16): DataFrame = {
+    import spark.implicits._
+    var graphs = List((g0, Array.tabulate(g0.numNodes)(identity)))
+    var fineToLevel = Array.tabulate(g0.numNodes)(identity)
+    var cur = g0
+    (1 to cfg.levels).foreach { lvl =>
+      val (coarse, m) = Harp.coarsen(cur, lvl, cfg.seed + lvl)
+      fineToLevel = Array.tabulate(g0.numNodes)(u => m(fineToLevel(u)))
+      graphs = graphs :+ ((coarse, fineToLevel.clone()))
+      cur = coarse
+    }
+
+    val corpora: Seq[DataFrame] = graphs.zipWithIndex.map { case ((g, fineMap), lvlIdx) =>
+      val members: Array[Array[String]] = {
+        val acc = Array.fill(g.numNodes)(List.empty[String])
+        (0 until g0.numNodes).foreach { u => acc(fineMap(u)) ::= g0.names(u) }
+        acc.map(_.toArray)
+      }
+      val budget = cfg.corpusTokens / graphs.size
+      val bg = spark.sparkContext.broadcast((g, members))
+      val starts = (0 until g.numNodes).filter(g.degree(_) > 0).toIndexedSeq
+      val totalWalks = math.max(starts.size.toLong, budget / cfg.walkLength)
+      val perNode = math.max(1L, totalWalks / starts.size).toInt
+      val walkCfg = RandomWalker.WalkConfig(walkLength = cfg.walkLength)
+      spark.sparkContext.parallelize(starts, numPartitions).flatMap { s =>
+        val (graph, mem) = bg.value
+        (0 until perNode).iterator.map { w =>
+          val rng = Rand.of(cfg.seed, lvlIdx.toLong * 1_000_003L + s, w.toLong)
+          val walk = walkFrom(graph, s, walkCfg, firstStepRid = false, rng)
+          walk.map { id =>
+            val m = mem(id)
+            if (m.isEmpty) graph.names(id) else m(rng.nextInt(m.length))
+          }
+        }
+      }.toDF("sentence")
+    }
+    corpora.reduce(_ union _)
+  }
+}

@@ -1,0 +1,56 @@
+package repro.core
+
+import org.apache.spark.sql.DataFrame
+import repro.baselines.Harp
+import repro.{SparkSpec, TestFixtures}
+
+/** The single corpus driver against the three drivers it replaced
+  * ([[ReferenceWalks]]): every corpus must be the same, row for row and in
+  * order, at the same seed. */
+class WalkEngineSpec extends SparkSpec {
+
+  private def rows(df: DataFrame): Seq[Seq[String]] =
+    df.collect().map(_.getSeq[String](0).toSeq).toSeq
+
+  private lazy val graph: CompactGraph = TestFixtures.tinyEmbDI.graph
+
+  test("EmbDI corpora equal the old driver's under every start, first-step and replacement option") {
+    val shared = RandomWalker.OverlapTokens(TestFixtures.tinyShared)
+    assert(RandomWalker.startNodes(graph, shared).nonEmpty)
+    // Shared and unshared tokens alike, so replacement fires mid-walk too.
+    val replaced = graph.nodeIdsOfType(0).map(graph.names).grouped(3).map(_.head).toSeq
+    for {
+      start <- Seq(RandomWalker.AllNodes, shared)
+      orCid <- Seq(false, true)
+      p     <- Seq(0.0, 0.5, 1.0)
+    } {
+      val cfg = RandomWalker.WalkConfig(walkLength = 15, corpusTokens = 20000,
+        startStrategy = start, firstStepOrCid = orCid,
+        replacements = replaced.map(t => t -> (s"$t~", p)).toMap, seed = 17L)
+      val got = rows(RandomWalker.corpus(spark, graph, cfg))
+      assert(got.nonEmpty)
+      assert(got == rows(ReferenceWalks.embdi(spark, graph, cfg)),
+        s"start=${start.getClass.getSimpleName} orCid=$orCid p=$p")
+    }
+  }
+
+  test("node2vec corpora equal the old driver's for p/q in {(1,1), (.25,4), (4,.25)}") {
+    Seq((1.0, 1.0), (0.25, 4.0), (4.0, 0.25)).foreach { case (p, q) =>
+      val cfg = Node2VecWalker.N2VConfig(walkLength = 12, corpusTokens = 15000, p = p, q = q, seed = 23L)
+      assert(rows(Node2VecWalker.corpus(spark, graph, cfg)) ==
+        rows(ReferenceWalks.node2vec(spark, graph, cfg)), s"p=$p q=$q")
+    }
+  }
+
+  test("HARP's combined corpus equals the old per-level loop at 0, 1 and 2 levels") {
+    import spark.implicits._
+    val df = (0L until 40L).map(i => (i, s"t${i % 11}", s"u${i % 7}")).toDF("__rid", "a", "b")
+    val g0 = CompactGraph.fromEdges(TripartiteGraph.edges(spark, Seq(df), Tokenization.Simple))
+    Seq(0, 1, 2).foreach { levels =>
+      val cfg = Harp.Config(levels = levels, corpusTokens = 6000, walkLength = 10)
+      val got = rows(Harp.corpus(spark, g0, cfg))
+      assert(got.nonEmpty)
+      assert(got == rows(ReferenceWalks.harp(spark, g0, cfg)), s"levels=$levels")
+    }
+  }
+}
