@@ -10,10 +10,10 @@ import scala.util.Random
   *
   * HARP coarsens the graph into a hierarchy (edge collapsing), learns
   * embeddings at the coarsest level, and warm-starts each finer level from
-  * its parent. MLlib's Word2Vec cannot be warm-started, so we keep the
+  * its parent. `EmbeddingTrainer` has no warm start, so we keep the
   * hierarchy but substitute the transfer mechanism: walks are generated at
   * *every* level, supernodes are expanded to uniformly-drawn members at
-  * emission, and a single Word2Vec trains over the combined corpus — fine
+  * emission, and a single word2vec trains over the combined corpus — fine
   * nodes still receive the higher-order structural context of their
   * supernode neighborhoods, which is the property HARP adds over plain
   * walks.

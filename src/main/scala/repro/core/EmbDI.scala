@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.{col, count, countDistinct, lit}
 import org.apache.spark.storage.StorageLevel
 
 /** The EmbDI meta-algorithm (Algorithm 3): graph construction → sentence
@@ -48,6 +49,22 @@ object EmbDI {
       case other => other
     }
 
+  /** The number of rows of `datasets`, after checking in one pass over their
+    * `__rid` columns that no id occurs twice (two rows with one id would
+    * silently merge into one RID node). */
+  private def uniqueRows(datasets: Seq[DataFrame]): Long = {
+    val rids = datasets.map(_.select(col("__rid"))).reduce(_ union _)
+    val r = rids.agg(count(lit(1)), countDistinct(col("__rid"))).head()
+    val (nRows, nDistinct) = (r.getLong(0), r.getLong(1))
+    require(nRows == nDistinct, {
+      val dups = rids.groupBy("__rid").count().filter(col("count") > 1)
+        .orderBy("__rid").limit(5).collect().map(_.get(0))
+      s"__rid must be unique across the input datasets: ${nRows - nDistinct} rows repeat " +
+        s"an id (or have none), e.g. ${dups.mkString(", ")}"
+    })
+    nRows
+  }
+
   /** Run the full pipeline over one or more datasets (each with a globally
     * unique `__rid` column). */
   def run(spark: SparkSession, datasets: Seq[DataFrame], cfg: Config = Config()): Result = {
@@ -68,7 +85,7 @@ object EmbDI {
     import spark.implicits._
     val nDistinct = datasets.map(Tokenization.cells(spark, _)).reduce(_ union _)
       .flatMap(v => Tokenization.normalize(v, cfg.sigFigs)).distinct().count()
-    val nRows = datasets.map(_.count()).sum
+    val nRows = uniqueRows(datasets)
     val corpusTokens =
       if (cfg.corpusFactor > 0) RandomWalker.corpusTokensRule(nDistinct, nRows, cfg.corpusFactor)
       else cfg.walk.corpusTokens

@@ -7,7 +7,7 @@ import scala.util.Random
 
 /** The Node2Vec baseline of §7: node2vec's second-order biased walks
   * (Grover & Leskovec, KDD'16) over the same tripartite graph ("given our
-  * graph as input, it learns vectors for all nodes"), then the same Word2Vec
+  * graph as input, it learns vectors for all nodes"), then the same word2vec
   * training (`EmbeddingTrainer.walkThenTrain`). Default p = q = 1 as in the
   * node2vec paper's defaults.
   *

@@ -81,7 +81,7 @@ object RandomWalker {
     }
 
   /** The walk corpus as a DataFrame with one `sentence` column of
-    * `array<string>` — the shape MLlib Word2Vec consumes.
+    * `array<string>` — the shape `EmbeddingTrainer.train` consumes.
     *
     * The budget is `max(#starts, corpusTokens / walkLength)` walks, split
     * evenly with at least one walk per start node. `payload` (the graph) is

@@ -19,9 +19,7 @@ object Bench {
       dim: Int = sys.env.get("BENCH_DIM").map(_.toInt).getOrElse(64),
       walkLength: Int = 60,
       window: Int = 3,
-      // MLlib Word2Vec merges per-partition deltas; quality degrades with
-      // more partitions, so default to 1 (the corpus is small enough).
-      w2vPartitions: Int = sys.env.get("BENCH_W2V_PARTITIONS").map(_.toInt).getOrElse(1),
+      w2vPartitions: Int = 1, // no effect: training is single-threaded
       w2vIters: Int = sys.env.get("BENCH_W2V_ITERS").map(_.toInt).getOrElse(1),
       /** word2vec min_count. Together with overlap-start walks this prunes
         * RIDs that never co-occur with a bridge token — the implicit
@@ -35,7 +33,7 @@ object Bench {
 
   def w2v(p: Params = params): EmbeddingTrainer.W2VConfig =
     EmbeddingTrainer.W2VConfig(dim = p.dim, window = p.window, minCount = p.minCount,
-      maxIter = p.w2vIters, numPartitions = p.w2vPartitions, seed = p.seed)
+      maxIter = p.w2vIters, seed = p.seed)
 
   /** Default EmbDI configuration. For two-dataset scenarios the §5.1
     * imbalance heuristic is on (as in the paper's default): walks start only

@@ -5,7 +5,8 @@ import repro.core._
 import repro.data.{Scenario, Scenarios}
 
 /** Trained-model fixtures shared across test suites (one JVM per test run,
-  * suites sequential) so the expensive Word2Vec trainings happen once.
+  * suites sequential) so each scenario is generated, and its EmbDI pipeline
+  * (graph, walks, training) run, once.
   */
 object TestFixtures {
 
@@ -19,8 +20,7 @@ object TestFixtures {
     EmbDI.Config(
       strategy = strategy,
       walk = RandomWalker.WalkConfig(walkLength = 20, seed = 5L),
-      w2v = EmbeddingTrainer.W2VConfig(dim = 32, minCount = 1, maxIter = 2,
-        numPartitions = 4, seed = 5L),
+      w2v = EmbeddingTrainer.W2VConfig(dim = 32, minCount = 1, maxIter = 2, seed = 5L),
       corpusFactor = 300L,
     )
 

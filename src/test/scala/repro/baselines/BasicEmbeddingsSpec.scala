@@ -10,7 +10,7 @@ class BasicEmbeddingsSpec extends SparkSpec {
     BasicEmbeddings.Config(
       corpusTokens = 150000,
       strategy = Tokenization.Flatten,
-      w2v = EmbeddingTrainer.W2VConfig(dim = 32, minCount = 1, numPartitions = 4)))
+      w2v = EmbeddingTrainer.W2VConfig(dim = 32, minCount = 1)))
 
   test("Basic learns token vectors") {
     assert(model.words.count(NodeNames.isToken) > 50)

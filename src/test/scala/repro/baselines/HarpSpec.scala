@@ -44,7 +44,7 @@ class HarpSpec extends SparkSpec {
   test("train produces embeddings for fine-level node names") {
     val res = Harp.train(spark, graph,
       Harp.Config(levels = 2, corpusTokens = 60000, walkLength = 10,
-        w2v = EmbeddingTrainer.W2VConfig(dim = 16, minCount = 1, numPartitions = 2)))
+        w2v = EmbeddingTrainer.W2VConfig(dim = 16, minCount = 1)))
     // supernode names (h1__/h2__) must not leak into the model vocabulary
     assert(!res.model.words.exists(_.startsWith("h1__")))
     assert(!res.model.words.exists(_.startsWith("h2__")))

@@ -89,4 +89,14 @@ class EmbDISpec extends SparkSpec {
     assert(gtCos.sum / gtCos.size > nonGt.sum / nonGt.size,
       s"gt ${gtCos.sum / gtCos.size} vs non-gt ${nonGt.sum / nonGt.size}")
   }
+
+  test("duplicate __rid across datasets is rejected, naming the ids") {
+    import spark.implicits._
+    // Two rows with one id would silently merge into one RID node.
+    val d1 = Seq((0L, "a"), (1L, "b")).toDF("__rid", "x")
+    val d2 = Seq((0L, "a"), (7L, "c")).toDF("__rid", "y")
+    val e = intercept[IllegalArgumentException](
+      EmbDI.run(spark, Seq(d1, d2), TestFixtures.testConfig(Tokenization.Simple)))
+    assert(e.getMessage.contains("__rid") && e.getMessage.contains("e.g. 0"), e.getMessage)
+  }
 }

@@ -107,7 +107,7 @@ class MeltSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     // The all-NULL row has no RID node, but it is still a row of the input.
     val cfg0 = EmbDI.Config(strategy = Tokenization.Simple,
       walk = RandomWalker.WalkConfig(walkLength = 5, seed = 3L),
-      w2v = EmbeddingTrainer.W2VConfig(dim = 4, minCount = 1, numPartitions = 1, seed = 3L))
+      w2v = EmbeddingTrainer.W2VConfig(dim = 4, minCount = 1, seed = 3L))
     val graph = CompactGraph.fromEdges(TripartiteGraph.edges(spark, Seq(d1), Tokenization.Simple))
     assert(!graph.index.contains(NodeNames.rid(2)))
     val starts = RandomWalker.startNodes(graph, cfg0.walk.startStrategy).length

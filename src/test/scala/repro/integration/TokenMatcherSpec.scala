@@ -1,7 +1,7 @@
 package repro.integration
 
-import repro.SparkSpec
-import repro.core.EmbeddingModel
+import repro.{SparkSpec, TestFixtures}
+import repro.core.{EmbDI, EmbeddingModel, Tokenization}
 
 class TokenMatcherSpec extends SparkSpec {
 
@@ -45,5 +45,24 @@ class TokenMatcherSpec extends SparkSpec {
       Seq(("denmark", "dk"), ("france", "it")),
       Seq(("denmark", "dk"), ("france", "fr")))
     assert(prf.precision == 0.5 && prf.recall == 0.5)
+  }
+
+  test("embedding matcher recovers planted synonyms from an EmbDI model") {
+    import spark.implicits._
+    // Row i of D1 and row i of D2 describe one item: same name, its country
+    // spelled out on one side and as a code on the other.
+    val synonyms = Seq("denmark" -> "dk", "france" -> "fr", "italy" -> "it",
+      "germany" -> "de", "spain" -> "es", "sweden" -> "se")
+    val rows = (0 until 120).map(i => (s"item$i", synonyms(i % synonyms.size)))
+    val d1 = rows.zipWithIndex.map { case ((name, (full, _)), i) => (i.toLong, name, full) }
+      .toDF("__rid", "name", "country")
+    val d2 = rows.zipWithIndex.map { case ((name, (_, code)), i) => (1000L + i, name, code) }
+      .toDF("__rid", "title", "country_code")
+    val model = EmbDI.run(spark, Seq(d1, d2), TestFixtures.testConfig(Tokenization.Simple)).model
+    val got = TokenMatcher.matchByEmbedding(model,
+      TokenMatcher.domain(d1, "country"), TokenMatcher.domain(d2, "country_code"))
+    val prf = TokenMatcher.score(got, synonyms)
+    info(f"planted-synonym F1 ${prf.f1}%.3f")
+    assert(prf.f1 > 0, s"F1 ${prf.f1}: $got")
   }
 }
