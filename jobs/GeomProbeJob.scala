@@ -1,6 +1,6 @@
 package repro.jobs
 
-import repro.core.{EmbeddingModel, NodeNames}
+import repro.core.{NearestNeighbors, NodeNames}
 import repro.eval.Bench
 
 /** Diagnostic: separation between ground-truth duplicate pairs and random
@@ -26,11 +26,10 @@ object GeomProbeJob {
       }
       // for 100 GT pairs: how often is the true match the query's 1-NN?
       val rids2 = (r2._1 until r2._2).map(NodeNames.rid).filter(m.contains)
-      val hits = gt.take(100).count { case (a, c) =>
-        m.vector(NodeNames.rid(a)).exists { qv =>
-          m.nearest(qv, rids2, 1).headOption.exists(_._1 == NodeNames.rid(c))
-        }
-      }
+      val queries = gt.take(100).filter(p => m.contains(NodeNames.rid(p._1))).toIndexedSeq
+      val best = NearestNeighbors.rankNames(m, queries.map(p => NodeNames.rid(p._1)), rids2, 1)
+      val hits = queries.indices.count(q =>
+        best(q).headOption.exists(b => rids2(b) == NodeNames.rid(queries(q)._2)))
       println(f"GEOM $s gtCos=${gtCos.sum / gtCos.size}%.3f " +
         f"randCos=${randCos.sum / randCos.size}%.3f top1hit=${hits}%d/100")
     }

@@ -1,0 +1,61 @@
+package repro.jobs
+
+import org.apache.spark.sql.SparkSession
+import repro.data.Scenarios
+import repro.eval.Bench
+
+import scala.collection.immutable.ListMap
+
+private object JobUtil {
+  def session(name: String): SparkSession =
+    SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(name)
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .getOrCreate()
+}
+
+/** spark-submit entrypoint for the evaluation tables: prints the rows of the
+  * corresponding `repro.bench` suite through the same `Bench` row functions.
+  *
+  * Usage: `spark-submit --class repro.jobs.TableJob repro.jar <1-6|tm> [DS ...]`;
+  * scenario shorthands (any case) restrict the run to those scenarios.
+  */
+object TableJob {
+
+  /** A table's valid scenarios, those it runs when none are named, and its
+    * rows for one scenario. */
+  private final case class Table(known: Seq[String], default: Seq[String],
+                                 rows: (SparkSession, String) => Seq[String])
+
+  private val all = Scenarios.allConfigs.map(_.shorthand)
+  private val pairs = Scenarios.integrationConfigs.map(_.shorthand)
+
+  private val tables: ListMap[String, Table] = ListMap(
+    "1" -> Table(all, all, (s, d) => Seq(Bench.table1Row(s, d).render)),
+    "2" -> Table(all, all, (s, d) => Bench.table2Rows(s, d).map(_.render)),
+    "3" -> Table(pairs, pairs, (s, d) => Seq(Bench.table3Row(s, d).render)),
+    "4" -> Table(pairs, pairs, (s, d) => Seq(Bench.table4Row(s, d).render)),
+    "5" -> Table(pairs, Bench.table5Scenarios, (s, d) => Bench.table5Rows(s, d).map(_.render)),
+    "6" -> Table(all, all, (s, d) => Seq(Bench.timingRow(s, d).render)),
+    // §7.2 token matching runs on the IM pair only.
+    "tm" -> Table(Seq("IM"), Seq("IM"), (s, _) => Bench.tokenMatchingRows(s).map(_.render)),
+  )
+
+  /** The table and the scenarios to run, or why the arguments are rejected. */
+  def parse(args: Seq[String]): Either[String, (String, Seq[String])] = for {
+    name <- args.headOption.toRight(s"usage: TableJob <${tables.keys.mkString("|")}> [DS ...]")
+    t = name.toLowerCase
+    table <- tables.get(t).toRight(s"unknown table '$name' (known: ${tables.keys.mkString(", ")})")
+    wanted = args.tail.map(_.toUpperCase)
+    _ <- wanted.find(!table.known.contains(_)).map(bad =>
+      s"unknown scenario '$bad' for table $t (known: ${table.known.mkString(", ")})").toLeft(())
+  } yield t -> (if (wanted.isEmpty) table.default else wanted)
+
+  def main(args: Array[String]): Unit = parse(args.toSeq) match {
+    case Left(message) => System.err.println(message); sys.exit(2)
+    case Right((t, scenarios)) =>
+      val spark = JobUtil.session(s"table$t")
+      scenarios.foreach(d => tables(t).rows(spark, d).foreach(println))
+      spark.stop()
+  }
+}

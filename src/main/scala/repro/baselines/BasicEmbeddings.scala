@@ -26,7 +26,6 @@ object BasicEmbeddings {
       strategy: Tokenization.Strategy = Tokenization.Flatten,
       w2v: EmbeddingTrainer.W2VConfig = EmbeddingTrainer.W2VConfig(),
       seed: Long = 7777L,
-      numPartitions: Int = 16,
   )
 
   /** Train Basic embeddings over the datasets (each with global `__rid`). */
@@ -75,8 +74,7 @@ object BasicEmbeddings {
     val attrBudgetTokens = cfg.corpusTokens - rowBudgetTokens
     val perAttr = math.max(1L,
       attrBudgetTokens / (cfg.attrSentenceLen + 1) / math.max(1, domains.size)).toInt
-    val attrSentences = spark.sparkContext
-      .parallelize(domains.toIndexedSeq, math.min(cfg.numPartitions, domains.size))
+    val attrSentences = spark.sparkContext.parallelize(domains.toIndexedSeq)
       .flatMap { case (cid, dom) =>
         (0 until perAttr).iterator.map { s =>
           val rng = repro.core.Rand.of(cfg.seed, cid.hashCode.toLong, s.toLong)

@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.ml.classification.LogisticRegression
 import org.apache.spark.ml.linalg.Vectors
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{EmbeddingModel, NearestNeighbors, Tokenization}
+import repro.core.{EmbeddingModel, Tokenization}
 import repro.integration.{Metrics, PRF}
 
 import scala.util.Random
@@ -15,7 +15,8 @@ import scala.util.Random
   * candidate pair becomes a similarity-feature vector (per aligned attribute
   * the cosine of the two attribute vectors, plus the whole-tuple cosine);
   * a classifier is trained on a small labeled sample (paper: 5 % of ground
-  * truth). Blocking = top-k tuple-embedding nearest neighbours.
+  * truth). The pairs it classifies are the benchmark's labeled candidate
+  * (blocking) pairs.
   *
   *  - `DeepERP`: features from the pre-trained space.
   *  - `DeepERL`: features from EmbDI local token embeddings.
@@ -29,7 +30,6 @@ object DeepER {
   final case class Config(
       labelFraction: Double = 0.05,
       tuned: Boolean = false,
-      blockingTopK: Int = 10,
       seed: Long = 31337L,
   )
 
@@ -74,32 +74,18 @@ object DeepER {
     }
   }
 
-  /** Run supervised ER over a scenario's aligned columns. Returns the PRF
-    * over the ground-truth pairs not used for training. */
-  /** Run supervised ER. `candidatePairs`, when provided, is the labeled
-    * candidate set of the benchmark (the Magellan protocol: classify
-    * blocking candidates); otherwise candidates come from internal top-k
-    * tuple-embedding blocking. */
+  /** Run supervised ER over a scenario's aligned columns, classifying the
+    * labeled `candidatePairs` of the benchmark (the Magellan protocol:
+    * classify blocking candidates). Returns the PRF over the ground-truth
+    * pairs not used for training. */
   def run(spark: SparkSession, d1: DataFrame, d2: DataFrame,
           alignedCols: Seq[(String, String)], model: EmbeddingModel,
           strategy: Tokenization.Strategy, groundTruth: Set[(Long, Long)],
-          cfg: Config = Config(),
-          candidatePairs: Option[Seq[(Long, Long, Boolean)]] = None): PRF = {
+          candidatePairs: Seq[(Long, Long, Boolean)], cfg: Config = Config()): PRF = {
     val rng = new Random(cfg.seed)
     val v1 = tupleVectors(d1, alignedCols.map(_._1), model, strategy)
     val v2 = tupleVectors(d2, alignedCols.map(_._2), model, strategy)
-
-    val candidates: Set[(Long, Long)] = candidatePairs match {
-      case Some(pairs) => pairs.map(p => (p._1, p._2)).toSet
-      case None =>
-        // Blocking: top-k NN on tuple vectors, both directions.
-        val q1 = v1.toSeq.map { case (r, (_, t)) => r.toString -> t }
-        val q2 = v2.toSeq.map { case (r, (_, t)) => r.toString -> t }
-        val nn12 = NearestNeighbors.topK(spark, q1, q2, cfg.blockingTopK)
-        val nn21 = NearestNeighbors.topK(spark, q2, q1, cfg.blockingTopK)
-        nn12.toSeq.flatMap { case (a, ns) => ns.map(n => (a.toLong, n._1.toLong)) }.toSet ++
-          nn21.toSeq.flatMap { case (b, ns) => ns.map(n => (n._1.toLong, b.toLong)) }.toSet
-    }
+    val candidates: Set[(Long, Long)] = candidatePairs.map(p => (p._1, p._2)).toSet
 
     // Label split: labelFraction of GT positives (+ negatives) for training.
     val positives = groundTruth.toSeq.sortBy(identity)

@@ -52,8 +52,8 @@ object Alignment {
     }
     require(pairs.nonEmpty, "no anchor is present in both models")
     val w = procrustes(pairs)
-    val anchorA = anchors.map(_._1).toSet
     val anchorBByA = anchors.toMap
+    val anchorB = anchors.map(_._2).toSet
     val rotated: Seq[(String, Array[Float])] = modelA.words.toSeq.map { word =>
       val r = EmbeddingModel.normalize(applyW(w, modelA.vector(word).get))
       anchorBByA.get(word).flatMap(modelB.vector) match {
@@ -64,7 +64,7 @@ object Alignment {
       }
     }
     val bOnly = modelB.words.toSeq
-      .filterNot(wb => anchors.exists(_._2 == wb))
+      .filterNot(anchorB)
       .map(wb => wb -> modelB.vector(wb).get)
     EmbeddingModel(rotated ++ bOnly)
   }

@@ -20,10 +20,7 @@ object EmbDI {
       corpusFactor: Long = 100L,
   )
 
-  final case class Timings(graphMs: Long, walkMs: Long, trainMs: Long) {
-    def walkPlusTrainMs: Long = walkMs + trainMs
-    def totalMs: Long = graphMs + walkMs + trainMs
-  }
+  final case class Timings(graphMs: Long, walkMs: Long, trainMs: Long)
 
   final case class Result(
       model: EmbeddingModel,

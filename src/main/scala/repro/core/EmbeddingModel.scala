@@ -1,14 +1,14 @@
 package repro.core
 
 /** In-memory embedding table with the vector-space operations the paper's
-  * algorithms need: cosine similarity, nearest neighbours over a candidate
-  * subset, and gensim's `doesnt_match` (used by the §7.1 MA/MR/MC quality
-  * tests: normalize, average, return the word least similar to the mean).
+  * algorithms need: cosine similarity and gensim's `doesnt_match` (used by
+  * the §7.1 MA/MR/MC quality tests: normalize, average, return the word
+  * least similar to the mean).
   *
   * Vocabulary sizes here are graph-node counts (≤ a few 100k), so a
-  * driver-side table is the right representation; bulk top-k queries go
-  * through [[NearestNeighbors]], which ranks row arrays on the driver's
-  * cores.
+  * driver-side table is the right representation; every nearest-neighbour
+  * ranking goes through [[NearestNeighbors]], which ranks row arrays on the
+  * driver's cores.
   */
 final class EmbeddingModel(
     val words: Array[String],
@@ -50,30 +50,6 @@ final class EmbeddingModel(
     meanVector(known).map { m =>
       known.minBy(w => cosine(vector(w).get, m))
     }
-  }
-
-  /** Top-k most similar candidates to `query` by cosine, descending. */
-  def nearest(query: Array[Float], candidates: Iterable[String], k: Int,
-              exclude: Set[String] = Set.empty): Seq[(String, Double)] =
-    candidates.iterator
-      .filterNot(exclude)
-      .flatMap(c => vector(c).map(v => c -> cosine(query, v)))
-      .toSeq.sortBy(-_._2).take(k)
-
-  def nearestToWord(w: String, candidates: Iterable[String], k: Int): Seq[(String, Double)] =
-    vector(w).map(nearest(_, candidates, k, exclude = Set(w))).getOrElse(Seq.empty)
-
-  /** Restrict to a sub-vocabulary (e.g. only RID nodes). */
-  def filterWords(p: String => Boolean): EmbeddingModel = {
-    val kept = words.indices.filter(i => p(words(i)))
-    new EmbeddingModel(kept.map(words).toArray, kept.map(vectors).toArray)
-  }
-
-  /** Merge with another model; on conflict `other` wins. */
-  def ++(other: EmbeddingModel): EmbeddingModel = {
-    val m = words.zip(vectors).toMap ++ other.words.zip(other.vectors).toMap
-    val ws = m.keys.toArray.sorted
-    new EmbeddingModel(ws, ws.map(m))
   }
 }
 

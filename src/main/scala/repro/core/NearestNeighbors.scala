@@ -43,9 +43,20 @@ object NearestNeighbors {
     r
   }
 
+  /** [[rank]] over named rows of `model`: the `k` best `to` indices of each
+    * `from` name. Every name must have a vector in `model`; a name on both
+    * sides never ranks itself (`to` holds each name once). */
+  def rankNames(model: EmbeddingModel, from: IndexedSeq[String], to: IndexedSeq[String],
+                k: Int): Array[Array[Int]] = {
+    val at = to.zipWithIndex.toMap
+    def vectors(names: IndexedSeq[String]) = names.map(n => model.vectors(model.index(n))).toArray
+    rank(vectors(from), vectors(to), k, i => at.getOrElse(from(i), -1)).ids
+  }
+
   /** For each (name, vector) query, the k most-similar targets, descending.
     * A query that is also a target never matches itself. Names are mapped
-    * to indices once for [[rank]]; `spark` is unused. */
+    * to indices once for [[rank]]; `spark` is unused. The program ranks
+    * through [[rankNames]]; this map form serves the `perfbench/` harness. */
   def topK(spark: SparkSession,
            queries: Seq[(String, Array[Float])],
            targets: Seq[(String, Array[Float])],

@@ -55,26 +55,4 @@ object TripartiteGraph {
     }
     perDataset.reduce(_ union _).distinct()
   }
-
-  /** Node list with types: columns `name`, `ntype` ∈ {token, rid, cid}. */
-  def nodes(spark: SparkSession, edgeDf: DataFrame): DataFrame = {
-    import spark.implicits._
-    edgeDf.select($"src".as("name"))
-      .union(edgeDf.select($"dst".as("name")))
-      .distinct()
-      .withColumn("ntype",
-        when(col("name").startsWith(NodeNames.RidPrefix), "rid")
-          .when(col("name").startsWith(NodeNames.CidPrefix), "cid")
-          .otherwise("token"))
-  }
-
-  /** Summary statistics used by Table 1 and the corpus-size rule. */
-  final case class Stats(nTokens: Long, nRids: Long, nCids: Long, nEdges: Long)
-
-  def stats(spark: SparkSession, edgeDf: DataFrame): Stats = {
-    val n = nodes(spark, edgeDf).groupBy("ntype").count()
-      .collect().map(r => r.getString(0) -> r.getLong(1)).toMap
-    Stats(n.getOrElse("token", 0L), n.getOrElse("rid", 0L), n.getOrElse("cid", 0L),
-          edgeDf.count())
-  }
 }

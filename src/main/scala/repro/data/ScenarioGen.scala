@@ -107,6 +107,9 @@ final case class Scenario(
     config: ScenarioConfig,
     d1: DataFrame,
     d2: DataFrame,
+    /** Row counts of `d1` and `d2`, known when the views are generated. */
+    nRows1: Long,
+    nRows2: Long,
     /** Ground-truth duplicate pairs: columns rid1, rid2. */
     rowMatches: DataFrame,
     /** Ground-truth attribute correspondences (d1 name, d2 name). */
@@ -125,8 +128,6 @@ final case class Scenario(
 ) {
   def columns1: Seq[String] = d1.columns.filterNot(_ == "__rid").toSeq
   def columns2: Seq[String] = d2.columns.filterNot(_ == "__rid").toSeq
-  def nRows1: Long = d1.count()
-  def nRows2: Long = d2.count()
 }
 
 /** Deterministic generator for heterogeneous dataset pairs with ground truth.
@@ -365,6 +366,7 @@ object ScenarioGen {
         positives ++ negatives.toSeq.map { case (a, b) => (a, b, false) }
       }
 
-    Scenario(cfg, d1, d2, rowMatches, colMatches, dict, tmGt, candidates)
+    Scenario(cfg, d1, d2, ids1.size.toLong, ids2.size.toLong, rowMatches, colMatches, dict, tmGt,
+      candidates)
   }
 }

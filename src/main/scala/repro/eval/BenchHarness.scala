@@ -82,7 +82,7 @@ object Bench {
 
     private lazy val corpusTokens: Long =
       RandomWalker.corpusTokensRule(embdiO.nDistinctValues,
-        datasets.map(_.count()).sum, params.corpusFactor)
+        scenario.nRows1 + scenario.nRows2, params.corpusFactor)
 
     lazy val basic: EmbeddingModel =
       BasicEmbeddings.train(spark, datasets, BasicEmbeddings.Config(
@@ -250,9 +250,8 @@ object Bench {
              strategy: Tokenization.Strategy, tuned: Boolean,
              labelFraction: Double = 0.05): PRF =
     DeepER.run(spark, b.scenario.d1, b.scenario.d2, b.scenario.colMatches, model,
-      strategy, b.groundTruth,
-      DeepER.Config(labelFraction = labelFraction, tuned = tuned, seed = params.seed),
-      candidatePairs = Some(b.scenario.candidates))
+      strategy, b.groundTruth, b.scenario.candidates,
+      DeepER.Config(labelFraction = labelFraction, tuned = tuned, seed = params.seed))
 
   /** Table 4: unsupervised ER (Algorithm 6, n_top = 10) per embedding,
     * then supervised DeepER with pre-trained vs EmbDI embeddings. */

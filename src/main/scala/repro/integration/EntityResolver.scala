@@ -32,27 +32,6 @@ object EntityResolver {
     // d(r_i) for both directions (Algorithm 6 line 3: i ≠ j).
     SchemaMatcher.matchVectors(model, rids1, rids2, nTop, maxIterations)
 
-  /** Algorithm 6 over a labeled candidate-pair set (the evaluation protocol
-    * of the Magellan-style ER benchmarks the paper uses: classify blocking
-    * candidates, not the full cross product). Candidate lists per RID are
-    * its candidate partners ranked by embedding cosine, capped at `nTop`;
-    * matching is the same mutual loop. Pairs whose RIDs lack embeddings are
-    * unrankable and count against recall. */
-  def resolveCandidates(model: EmbeddingModel,
-                        candidates: Seq[(Long, Long, Boolean)],
-                        nTop: Int = 10, maxIterations: Int = 10): (Seq[(Long, Long)], PRF) = {
-    val sims: Map[(String, String), Double] = candidates.flatMap { case (a, b, _) =>
-      model.cosine(NodeNames.rid(a), NodeNames.rid(b))
-        .map(c => (NodeNames.rid(a), NodeNames.rid(b)) -> c)
-    }.toMap
-    val left = candidates.map(c => NodeNames.rid(c._1)).distinct
-    val right = candidates.map(c => NodeNames.rid(c._2)).distinct
-    val matched = SchemaMatcher.mutualMatch(sims, left, right, maxIterations, nTop)
-      .map { case (a, b) => (NodeNames.ridValue(a), NodeNames.ridValue(b)) }
-    val gt = candidates.collect { case (a, b, true) => (a, b) }.toSet
-    (matched, Metrics.prf(matched.toSet, gt))
-  }
-
   /** Convenience: resolve matches and score them against ground-truth rid
     * pairs (as plain longs). */
   def resolveAndScore(spark: SparkSession, model: EmbeddingModel,

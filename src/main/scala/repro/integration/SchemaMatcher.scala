@@ -18,19 +18,15 @@ object SchemaMatcher {
     matchVectors(model, cids1, cids2, Int.MaxValue, maxIterations)
 
   /** [[mutualMatch]] over the top-`k` lists of both directions
-    * ([[NearestNeighbors.rank]]) of the names that have a vector in
+    * ([[NearestNeighbors.rankNames]]) of the names that have a vector in
     * `model`; a name on both sides never ranks itself. */
   private[repro] def matchVectors(model: EmbeddingModel, names1: Seq[String], names2: Seq[String],
                                   k: Int, maxIterations: Int): Seq[(String, String)] = {
     val left = names1.filter(model.contains).toIndexedSeq
     val right = names2.filter(model.contains).toIndexedSeq
     requireDistinct(left, "left"); requireDistinct(right, "right")
-    def ranked(from: IndexedSeq[String], to: IndexedSeq[String]): Array[Array[Int]] = {
-      val at = to.zipWithIndex.toMap
-      NearestNeighbors.rank(from.flatMap(model.vector).toArray, to.flatMap(model.vector).toArray,
-        k, i => at.getOrElse(from(i), -1)).ids
-    }
-    mutualMatch(ranked(left, right), ranked(right, left), maxIterations)
+    mutualMatch(NearestNeighbors.rankNames(model, left, right, k),
+      NearestNeighbors.rankNames(model, right, left, k), maxIterations)
       .map { case (a, b) => (left(a), right(b)) }
   }
 

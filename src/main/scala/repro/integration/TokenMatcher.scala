@@ -1,7 +1,7 @@
 package repro.integration
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{EmbeddingModel, Tokenization}
+import repro.core.{EmbeddingModel, NearestNeighbors, Tokenization}
 
 /** Token Matching (§6/§7.2): given two *aligned* attributes, find pairs of
   * tokens that are conceptual synonyms ("Denmark" ↔ "DK"). For a token from
@@ -20,12 +20,16 @@ object TokenMatcher {
       .flatMap(v => Tokenization.normalize(v.toString))
       .distinct.sorted.toSeq
 
-  /** Embedding-based matching: token in dom1 → first NN within dom2. */
-  def matchByEmbedding(model: EmbeddingModel, dom1: Seq[String], dom2: Seq[String],
-                       nTop: Int = 1): Seq[(String, String)] =
-    dom1.flatMap { t =>
-      model.nearestToWord(t, dom2.filterNot(_ == t), nTop).headOption.map(n => t -> n._1)
+  /** Embedding-based matching: each dom1 token with a vector → its nearest
+    * dom2 token other than itself (ties: the earlier in dom2). */
+  def matchByEmbedding(model: EmbeddingModel, dom1: Seq[String],
+                       dom2: Seq[String]): Seq[(String, String)] = {
+    val queries = dom1.filter(model.contains).toIndexedSeq
+    val targets = dom2.distinct.filter(model.contains).toIndexedSeq
+    queries.zip(NearestNeighbors.rankNames(model, queries, targets, 1)).flatMap {
+      case (t, best) => best.headOption.map(b => t -> targets(b))
     }
+  }
 
   /** Unpadded character trigrams; strings shorter than 3 are one gram —
     * padding would fabricate overlap between e.g. "dk" and "denmark". */

@@ -17,7 +17,7 @@ class DeepERSpec extends SparkSpec {
   private def runL(fraction: Double, tuned: Boolean = false) =
     DeepER.run(spark, sc.d1, sc.d2, sc.colMatches,
       TestFixtures.tinyEmbDI.model, Tokenization.Overlap(TestFixtures.tinyShared), gt,
-      DeepER.Config(labelFraction = fraction, tuned = tuned))
+      sc.candidates, DeepER.Config(labelFraction = fraction, tuned = tuned))
 
   test("DeepER with EmbDI embeddings finds duplicates (25% labels)") {
     val prf = runL(0.25)
@@ -32,7 +32,7 @@ class DeepERSpec extends SparkSpec {
   test("DeepER with pre-trained embeddings runs end to end") {
     val pre = PretrainedEmbeddings.forDatasets(Seq(sc.d1, sc.d2), Tokenization.Flatten)
     val prf = DeepER.run(spark, sc.d1, sc.d2, sc.colMatches, pre,
-      Tokenization.Flatten, gt, DeepER.Config(labelFraction = 0.25))
+      Tokenization.Flatten, gt, sc.candidates, DeepER.Config(labelFraction = 0.25))
     assert(prf.precision >= 0.0 && prf.recall >= 0.0)
   }
 

@@ -32,8 +32,6 @@ class EmbDISpec extends SparkSpec {
   test("timings are populated and positive") {
     val t = result.timings
     assert(t.graphMs >= 0 && t.walkMs > 0 && t.trainMs > 0)
-    assert(t.walkPlusTrainMs == t.walkMs + t.trainMs)
-    assert(t.totalMs == t.graphMs + t.walkMs + t.trainMs)
   }
 
   test("sentence count follows the corpus rule") {

@@ -60,36 +60,6 @@ class EmbeddingModelSpec extends AnyFunSuite {
     assert(model.doesntMatch(Seq.empty).isEmpty)
   }
 
-  test("nearest ranks by cosine descending") {
-    val n = model.nearestToWord("east", Seq("eastish", "north", "west", "up"), 4)
-    assert(n.map(_._1) == Seq("eastish", "north", "up", "west") ||
-           n.map(_._1).take(1) == Seq("eastish"))
-    assert(n.head._1 == "eastish")
-    assert(n.last._1 == "west")
-  }
-
-  test("nearest excludes the query word itself") {
-    val n = model.nearestToWord("east", Seq("east", "north"), 5)
-    assert(!n.map(_._1).contains("east"))
-  }
-
-  test("nearest respects k") {
-    assert(model.nearestToWord("east", model.words.toSeq, 2).size == 2)
-  }
-
-  test("filterWords keeps only matching vocabulary") {
-    val m = model.filterWords(_.startsWith("east"))
-    assert(m.words.toSet == Set("east", "eastish"))
-    assert(m.vector("east").get.sameElements(model.vector("east").get))
-  }
-
-  test("++ merges with right precedence") {
-    val other = EmbeddingModel(Seq("east" -> v(0, 1, 0), "new" -> v(0, 0, 1)))
-    val merged = model ++ other
-    assert(merged.contains("new"))
-    assert(math.abs(merged.cosine("east", "north").get - 1.0) < 1e-6)
-  }
-
   test("normalize of zero vector is identity") {
     val z = new Array[Float](3)
     assert(EmbeddingModel.normalize(z).sameElements(z))

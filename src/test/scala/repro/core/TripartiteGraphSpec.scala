@@ -114,20 +114,6 @@ class TripartiteGraphSpec extends SparkSpec {
     assert(toks == Set("12350000", "0.0001"))
   }
 
-  test("nodes DataFrame types partition the node set") {
-    val edges = TripartiteGraph.edges(spark, Seq(figure1a, figure1b), Tokenization.Simple)
-    val nodes = TripartiteGraph.nodes(spark, edges).collect()
-    assert(nodes.map(_.getString(0)).distinct.length == nodes.length)
-    assert(nodes.forall(r => Set("token", "rid", "cid").contains(r.getString(1))))
-  }
-
-  test("stats aggregates node and edge counts") {
-    val edges = TripartiteGraph.edges(spark, Seq(figure1a, figure1b), Tokenization.Simple)
-    val s = TripartiteGraph.stats(spark, edges)
-    assert(s.nTokens == 8 && s.nRids == 5 && s.nCids == 4)
-    assert(s.nEdges == 19)
-  }
-
   test("the graph is orders of magnitude smaller than a complete-subgraph encoding") {
     // §4.1: tripartite ⇒ 2m edges/tuple vs m(m-1)/2 + attribute edges.
     import spark.implicits._

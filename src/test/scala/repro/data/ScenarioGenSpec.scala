@@ -9,6 +9,7 @@ class ScenarioGenSpec extends SparkSpec {
   test("view sizes follow the config") {
     assert(tiny.nRows1 == Scenarios.tiny.nShared + Scenarios.tiny.nOnly1)
     assert(tiny.nRows2 == Scenarios.tiny.nShared + Scenarios.tiny.nOnly2)
+    assert(tiny.nRows1 == tiny.d1.count() && tiny.nRows2 == tiny.d2.count())
   }
 
   test("rids are globally unique and contiguous") {

@@ -75,6 +75,32 @@ class MatchingEngineSpec extends SparkSpec {
     }
   }
 
+  test("token matching on the kernel equals the per-query sort it replaced") {
+    var matched, tied = 0
+    for (seed <- 0L until 400L) {
+      val rng = new Random(seed)
+      val vocab = (0 until 1 + rng.nextInt(12)).map(i => s"t$i")
+      // Some tokens have no vector; integer coordinates in [-2, 2] make
+      // equal vectors and exact score ties common.
+      val dim = 1 + rng.nextInt(3)
+      val model = EmbeddingModel(vocab.filter(_ => rng.nextDouble() < 0.8)
+        .map(_ -> Array.fill(dim)((rng.nextInt(5) - 2).toFloat)))
+      // Draws with replacement from one vocabulary: duplicates within a
+      // domain and tokens in both domains.
+      def domain() = Seq.fill(rng.nextInt(10))(vocab(rng.nextInt(vocab.size)))
+      val (dom1, dom2) = (domain(), domain())
+      val want = ReferenceMatching.matchByEmbedding(model, dom1, dom2)
+      assert(TokenMatcher.matchByEmbedding(model, dom1, dom2) == want,
+        s"seed=$seed dom1=$dom1 dom2=$dom2")
+      matched += want.size
+      tied += dom1.count { t =>
+        val all = ReferenceMatching.nearestToWord(model, t, dom2.distinct.filterNot(_ == t), dom2.size)
+        all.size > 1 && all(0)._2 == all(1)._2
+      }
+    }
+    assert(matched > 500 && tied > 100, s"matched=$matched tied=$tied")
+  }
+
   test("duplicate names are rejected, not collapsed") {
     val sims = Map(("a", "x") -> 1.0, ("b", "x") -> 0.5)
     val e = intercept[IllegalArgumentException](

@@ -4,10 +4,11 @@ import org.apache.spark.sql.SparkSession
 import repro.core.EmbeddingModel
 
 /** The matching engine as it was before the driver-side kernel: a Spark
-  * broadcast + per-query heap top-k, and a mutual-matching loop that builds
-  * candidate lists by probing a similarity map for every left×right pair.
-  * Kept verbatim (apart from names) as the reference the current engine must
-  * reproduce. */
+  * broadcast + per-query heap top-k, a mutual-matching loop that builds
+  * candidate lists by probing a similarity map for every left×right pair,
+  * and token matching's per-query sort (`EmbeddingModel.nearest`). Kept
+  * verbatim (apart from names and the model argument) as the reference the
+  * current engine must reproduce. */
 object ReferenceMatching {
 
   def topK(spark: SparkSession,
@@ -42,6 +43,25 @@ object ReferenceMatching {
     bt.destroy()
     result
   }
+
+  /** Top-k most similar candidates to `query` by cosine, descending. */
+  def nearest(model: EmbeddingModel, query: Array[Float], candidates: Iterable[String], k: Int,
+              exclude: Set[String] = Set.empty): Seq[(String, Double)] =
+    candidates.iterator
+      .filterNot(exclude)
+      .flatMap(c => model.vector(c).map(v => c -> model.cosine(query, v)))
+      .toSeq.sortBy(-_._2).take(k)
+
+  def nearestToWord(model: EmbeddingModel, w: String, candidates: Iterable[String],
+                    k: Int): Seq[(String, Double)] =
+    model.vector(w).map(nearest(model, _, candidates, k, exclude = Set(w))).getOrElse(Seq.empty)
+
+  /** Token matching as `TokenMatcher.matchByEmbedding` composed it. */
+  def matchByEmbedding(model: EmbeddingModel, dom1: Seq[String], dom2: Seq[String],
+                       nTop: Int = 1): Seq[(String, String)] =
+    dom1.flatMap { t =>
+      nearestToWord(model, t, dom2.filterNot(_ == t), nTop).headOption.map(n => t -> n._1)
+    }
 
   def mutualMatch(
       sims: Map[(String, String), Double],

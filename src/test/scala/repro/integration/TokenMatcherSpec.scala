@@ -29,6 +29,13 @@ class TokenMatcherSpec extends SparkSpec {
     assert(got == Seq(("denmark", "dk")))
   }
 
+  test("a token in both domains never matches itself") {
+    val model = EmbeddingModel(Seq("dk" -> v(1, 0), "denmark" -> v(0.9, 0.1), "fr" -> v(0, 1)))
+    val got = TokenMatcher.matchByEmbedding(model, Seq("dk", "fr"), Seq("dk", "denmark", "fr"))
+    assert(got == Seq(("dk", "denmark"), ("fr", "denmark")))
+    assert(TokenMatcher.matchByEmbedding(model, Seq("dk"), Seq("dk")).isEmpty)
+  }
+
   test("jaccard matcher pairs string-similar tokens") {
     val got = TokenMatcher.matchByJaccard(
       Seq("photoshop", "illustrator"), Seq("photoshopcs", "illustratorcc", "random"))
