@@ -8,7 +8,7 @@ import scala.collection.immutable.ListMap
 
 private object JobUtil {
   def session(name: String): SparkSession =
-    SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+    SparkSession.builder().master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()

@@ -1,9 +1,7 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{EmbeddingModel, EmbeddingTrainer, NodeNames, Tokenization}
-
-import scala.util.Random
+import org.apache.spark.sql.{DataFrame, Row}
+import repro.core.{EmbeddingModel, EmbeddingTrainer, NodeNames, Rand, Tokenization}
 
 /** The `Basic` baseline of §7: no graph — sentences are (a) permutations of
   * each row's tokens prefixed by the row's RID and (b) samples of each
@@ -29,62 +27,46 @@ object BasicEmbeddings {
   )
 
   /** Train Basic embeddings over the datasets (each with global `__rid`). */
-  def train(spark: SparkSession, datasets: Seq[DataFrame], cfg: Config): EmbeddingModel = {
-    import spark.implicits._
+  def train(datasets: Seq[DataFrame], cfg: Config): EmbeddingModel =
+    EmbeddingTrainer.train(corpus(datasets, cfg), cfg.w2v)
 
-    // (rid, row tokens) pairs, distributed.
-    val rowTokens = datasets.zipWithIndex.map { case (df, i) =>
-      val dsIdx = i + 1
-      val dataCols = df.columns.filterNot(_ == "__rid").toSeq
-      df.rdd.map { r =>
-        val rid = r.getAs[Long]("__rid")
-        val toks = dataCols.flatMap { c =>
-          Option(r.getAs[Any](c)).toSeq.flatMap(v => Tokenization.tokens(v.toString, cfg.strategy))
-        }
-        (rid, dsIdx, dataCols.map(c => c -> Option(r.getAs[Any](c)).map(_.toString)), toks)
-      }
-    }.reduce(_ union _)
+  /** Basic's sentences, built on the driver from one collect per dataset:
+    * `permsPerRow` shuffles of each non-empty row's tokens, opened by its RID
+    * (the rows of D1, then of D2), then `perAttr` samples of each non-empty
+    * column domain, opened by its CID. */
+  private[repro] def corpus(datasets: Seq[DataFrame], cfg: Config): Array[Array[String]] = {
+    val tables = datasets.map(df => (df.columns.filterNot(_ == "__rid").toSeq, df.collect()))
+    def tokens(r: Row, c: String): Seq[String] =
+      Option(r.getAs[Any](c)).toSeq.flatMap(v => Tokenization.tokens(v.toString, cfg.strategy))
 
-    val rows = rowTokens.filter(_._4.nonEmpty).cache()
-    val nRows = rows.count()
-    val avgRowLen = math.max(2.0, rows.map(_._4.size + 1).sum() / math.max(1L, nRows).toDouble)
+    val rows = tables.flatMap { case (cols, rs) =>
+      rs.map(r => (r.getAs[Long]("__rid"), cols.flatMap(tokens(r, _))))
+    }.filter(_._2.nonEmpty)
+    val nRows = math.max(1L, rows.size.toLong)
+    val avgRowLen = math.max(2.0, rows.map(_._2.size + 1L).sum / nRows.toDouble)
 
     val rowBudgetTokens = (cfg.corpusTokens * cfg.rowFraction).toLong
-    val permsPerRow = math.max(1L, (rowBudgetTokens / avgRowLen / math.max(1L, nRows)).toLong).toInt
-
-    val rowSentences = rows.flatMap { case (rid, _, _, toks) =>
-      (0 until permsPerRow).iterator.map { p =>
-        val rng = repro.core.Rand.of(cfg.seed, rid, p.toLong)
+    val permsPerRow = math.max(1L, (rowBudgetTokens / avgRowLen / nRows).toLong).toInt
+    val rowSentences = rows.flatMap { case (rid, toks) =>
+      (0 until permsPerRow).map { p =>
+        val rng = Rand.of(cfg.seed, rid, p.toLong)
         (NodeNames.rid(rid) +: rng.shuffle(toks)).toArray
       }
     }
 
-    // Attribute-domain samples: collect the (small) per-column domains.
-    val domains: Seq[(String, IndexedSeq[String])] = datasets.zipWithIndex.flatMap { case (df, i) =>
-      val dsIdx = i + 1
-      df.columns.filterNot(_ == "__rid").toSeq.map { c =>
-        val dom = df.select(c).collect()
-          .flatMap(r => Option(r.get(0)))
-          .flatMap(v => Tokenization.tokens(v.toString, cfg.strategy))
-          .distinct.toIndexedSeq
-        NodeNames.cid(dsIdx, c) -> dom
-      }
+    // Attribute domains: distinct tokens of each column, in row order.
+    val domains = tables.zipWithIndex.flatMap { case ((cols, rs), i) =>
+      cols.map(c => NodeNames.cid(i + 1, c) -> rs.flatMap(tokens(_, c)).distinct.toIndexedSeq)
     }.filter(_._2.nonEmpty)
-
     val attrBudgetTokens = cfg.corpusTokens - rowBudgetTokens
     val perAttr = math.max(1L,
       attrBudgetTokens / (cfg.attrSentenceLen + 1) / math.max(1, domains.size)).toInt
-    val attrSentences = spark.sparkContext.parallelize(domains.toIndexedSeq)
-      .flatMap { case (cid, dom) =>
-        (0 until perAttr).iterator.map { s =>
-          val rng = repro.core.Rand.of(cfg.seed, cid.hashCode.toLong, s.toLong)
-          (cid +: Array.fill(cfg.attrSentenceLen)(dom(rng.nextInt(dom.size)))).toArray
-        }
+    val attrSentences = domains.flatMap { case (cid, dom) =>
+      (0 until perAttr).map { s =>
+        val rng = Rand.of(cfg.seed, cid.hashCode.toLong, s.toLong)
+        cid +: Array.fill(cfg.attrSentenceLen)(dom(rng.nextInt(dom.size)))
       }
-
-    val corpus = rowSentences.union(attrSentences).toDF("sentence")
-    val model = EmbeddingTrainer.train(corpus, cfg.w2v)
-    rows.unpersist()
-    model
+    }
+    (rowSentences ++ attrSentences).toArray
   }
 }

@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{CompactGraph, EmbeddingTrainer, RandomWalker}
 
 import scala.util.Random
@@ -61,19 +60,13 @@ object Harp {
     * (no first-step RID) and each supernode is written as a member drawn
     * with the walk's own RNG; level `l` seeds its walks at start-id offset
     * `l · 1 000 003`, so levels never share a walk seed. */
-  private[repro] def corpus(spark: SparkSession, g0: CompactGraph, cfg: Config): DataFrame = {
+  private[repro] def corpus(g0: CompactGraph, cfg: Config): Array[Array[String]] = {
     // Build the hierarchy with the fine-node → level-node mapping per level.
-    var graphs = List((g0, Array.tabulate(g0.numNodes)(identity)))
-    var fineToLevel = Array.tabulate(g0.numNodes)(identity)
-    var cur = g0
-    (1 to cfg.levels).foreach { lvl =>
-      val (coarse, m) = coarsen(cur, lvl, cfg.seed + lvl)
-      fineToLevel = Array.tabulate(g0.numNodes)(u => m(fineToLevel(u)))
-      graphs = graphs :+ ((coarse, fineToLevel.clone()))
-      cur = coarse
+    val graphs = (1 to cfg.levels).scanLeft((g0, Array.range(0, g0.numNodes))) {
+      case ((g, fineToLevel), lvl) =>
+        val (coarse, m) = coarsen(g, lvl, cfg.seed + lvl)
+        (coarse, fineToLevel.map(m))
     }
-
-    val walkLength = cfg.walkLength
     graphs.zipWithIndex.map { case ((g, fineMap), lvlIdx) =>
       // Member lists: fine node names per level-node id.
       val members: Array[Array[String]] = {
@@ -81,19 +74,19 @@ object Harp {
         (0 until g0.numNodes).foreach { u => acc(fineMap(u)) ::= g0.names(u) }
         acc.map(_.toArray)
       }
-      RandomWalker.walkCorpus(spark, (g, members), RandomWalker.startNodes(g, RandomWalker.AllNodes),
-        cfg.corpusTokens / graphs.size, walkLength, cfg.seed, seedOffset = lvlIdx.toLong * 1_000_003L) {
-        case ((graph, mem), start, rng) =>
-          RandomWalker.uniformWalk(graph, start, walkLength, rng).map { id =>
-            val m = mem(id)
-            if (m.isEmpty) graph.names(id) else m(rng.nextInt(m.length))
+      RandomWalker.walkCorpus(RandomWalker.startNodes(g, RandomWalker.AllNodes),
+        cfg.corpusTokens / graphs.size, cfg.walkLength, cfg.seed, seedOffset = lvlIdx.toLong * 1_000_003L) {
+        (start, rng) =>
+          RandomWalker.uniformWalk(g, start, cfg.walkLength, rng).map { id =>
+            val m = members(id)
+            if (m.isEmpty) g.names(id) else m(rng.nextInt(m.length))
           }
       }
-    }.reduce(_ union _)
+    }.reduce(_ ++ _)
   }
 
   /** Train HARP embeddings over the finest graph `g0`; the walk time
     * includes building the hierarchy. */
-  def train(spark: SparkSession, g0: CompactGraph, cfg: Config): EmbeddingTrainer.Trained =
-    EmbeddingTrainer.walkThenTrain(corpus(spark, g0, cfg), cfg.w2v)
+  def train(g0: CompactGraph, cfg: Config): EmbeddingTrainer.Trained =
+    EmbeddingTrainer.walkThenTrain(corpus(g0, cfg), cfg.w2v)
 }

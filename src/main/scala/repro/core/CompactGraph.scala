@@ -4,11 +4,9 @@ import org.apache.spark.sql.DataFrame
 
 import scala.util.Random
 
-/** Immutable CSR adjacency of the tripartite graph, small enough to
-  * broadcast to walk-generating executors (the graph is linear in the number
-  * of cells; the corpus it generates is 100–1000× larger — that asymmetry is
-  * what makes broadcast-and-walk the right distribution strategy, cf.
-  * DESIGN.md §2).
+/** Immutable CSR adjacency of the tripartite graph, walked on the driver
+  * (DESIGN.md §2). Serializable for the Spark walk drivers kept as test
+  * references.
   *
   * Node ids are dense ints; `names(i)` / `types(i)` give the node name and
   * kind, `neighbors(offsets(i) until offsets(i+1))` its adjacency (symmetric,

@@ -88,7 +88,7 @@ object EmbDI {
       else cfg.walk.corpusTokens
     val walkCfg = cfg.walk.copy(corpusTokens = corpusTokens)
 
-    val t = EmbeddingTrainer.walkThenTrain(RandomWalker.corpus(spark, graph, walkCfg), cfg.w2v)
+    val t = EmbeddingTrainer.walkThenTrain(RandomWalker.sentences(graph, walkCfg), cfg.w2v)
     Result(t.model, graph, t.nSentences, nDistinct, Timings(graphMs, t.walkMs, t.trainMs))
   }
 }

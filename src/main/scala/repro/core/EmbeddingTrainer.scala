@@ -6,16 +6,15 @@ import scala.collection.mutable
 import scala.util.hashing.MurmurHash3
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.storage.StorageLevel
 
 /** Embedding construction (§4.3): skip-gram with hierarchical softmax
   * (Mikolov et al., NIPS'13), the algorithm of Spark MLlib's
   * `mllib.feature.Word2Vec` at one partition, trained single-threaded on the
   * driver over dense int word ids.
   *
-  * The corpus is collected once (one Spark job); vocabulary, Huffman tree and
+  * The walkers build the corpus on the driver; vocabulary, Huffman tree and
   * the SGD epochs then run on flat `Array[Float]` weights, so training is
-  * deterministic in the corpus rows (in collect order) and `cfg` alone.
+  * deterministic in the corpus sentences (in order) and `cfg` alone.
   * Differences from MLlib: the RNG streams, and words of equal count are
   * ordered by a fixed hash of the word (MLlib's order is the hash order of a
   * `reduceByKey`; name order would make same-count RIDs Huffman siblings).
@@ -39,10 +38,9 @@ object EmbeddingTrainer {
   /** MLlib's sentence chunk length (`maxSentenceLength`). */
   private val MaxSentenceLength = 1000
 
-  /** Train on a `sentence: array<string>` DataFrame (the walker output). */
-  def train(corpus: DataFrame, cfg: W2VConfig = W2VConfig()): EmbeddingModel = {
-    val rows = corpus.select("sentence").collect()
-    val enc = Encoded(rows.iterator.map(_.getSeq[String](0)), cfg.minCount)
+  /** Train on a walk corpus, one sentence per row. */
+  def train(corpus: Array[Array[String]], cfg: W2VConfig): EmbeddingModel = {
+    val enc = Encoded(corpus.iterator.map(mutable.ArraySeq.make(_)), cfg.minCount)
     require(enc.words.nonEmpty,
       s"empty vocabulary: no word occurs at least minCount = ${cfg.minCount} times")
     require(enc.words.length.toLong * cfg.dim < Int.MaxValue,
@@ -52,6 +50,11 @@ object EmbeddingTrainer {
     EmbeddingModel(enc.words.indices.map(i =>
       enc.words(i) -> java.util.Arrays.copyOfRange(syn0, i * cfg.dim, (i + 1) * cfg.dim)))
   }
+
+  /** Train on a `sentence: array<string>` DataFrame, rows in collect order;
+    * kept only for the `perfbench/` harness. */
+  def train(corpus: DataFrame, cfg: W2VConfig): EmbeddingModel =
+    train(corpus.select("sentence").collect().map(_.getSeq[String](0).toArray), cfg)
 
   /** The order of the vocabulary: count descending, ties by a fixed hash of
     * the word, then by the word itself. */
@@ -301,16 +304,13 @@ object EmbeddingTrainer {
     * and train (E) wall-clock times of Table 6. */
   final case class Trained(model: EmbeddingModel, nSentences: Long, walkMs: Long, trainMs: Long)
 
-  /** Build `corpus`, materialise it (so W is real walk time, not deferred
-    * into E), train on it, then release it. */
-  def walkThenTrain(corpus: => DataFrame, cfg: W2VConfig): Trained = {
+  /** Build `corpus` (timed as W), then train on it (timed as E). */
+  def walkThenTrain(corpus: => Array[Array[String]], cfg: W2VConfig): Trained = {
     val t0 = System.nanoTime()
-    val c = corpus.persist(StorageLevel.MEMORY_AND_DISK)
-    val nSentences = c.count()
+    val c = corpus
     val t1 = System.nanoTime()
     val model = train(c, cfg)
     val t2 = System.nanoTime()
-    c.unpersist()
-    Trained(model, nSentences, (t1 - t0) / 1_000_000L, (t2 - t1) / 1_000_000L)
+    Trained(model, c.length.toLong, (t1 - t0) / 1_000_000L, (t2 - t1) / 1_000_000L)
   }
 }

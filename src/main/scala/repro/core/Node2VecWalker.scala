@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
@@ -66,11 +64,11 @@ object Node2VecWalker {
     out.toArray
   }
 
-  /** Walk corpus as DataFrame[array<string>] from every connected node,
-    * through [[RandomWalker.walkCorpus]]. */
-  def corpus(spark: SparkSession, graph: CompactGraph, cfg: N2VConfig): DataFrame =
-    RandomWalker.walkCorpus(spark, graph, RandomWalker.startNodes(graph, RandomWalker.AllNodes),
-      cfg.corpusTokens, cfg.walkLength, cfg.seed) { (g, start, rng) =>
-      walkFrom(g, start, cfg, rng).map(g.names)
+  /** Walk corpus from every connected node, through
+    * [[RandomWalker.walkCorpus]]. */
+  def corpus(graph: CompactGraph, cfg: N2VConfig): Array[Array[String]] =
+    RandomWalker.walkCorpus(RandomWalker.startNodes(graph, RandomWalker.AllNodes),
+      cfg.corpusTokens, cfg.walkLength, cfg.seed) { (start, rng) =>
+      walkFrom(graph, start, cfg, rng).map(graph.names)
     }
 }

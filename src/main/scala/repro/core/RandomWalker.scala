@@ -2,7 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-import scala.reflect.ClassTag
+import java.util.stream.IntStream
+
 import scala.util.Random
 
 /** Sentence construction via random walks (§4.2, Algorithm 2) with the §5.1
@@ -80,36 +81,42 @@ object RandomWalker {
       }
     }
 
-  /** The walk corpus as a DataFrame with one `sentence` column of
-    * `array<string>` — the shape `EmbeddingTrainer.train` consumes.
+  /** A walk corpus, built on the driver where the trainer runs.
     *
     * The budget is `max(#starts, corpusTokens / walkLength)` walks, split
-    * evenly with at least one walk per start node. `payload` (the graph) is
-    * broadcast, the start ids are an RDD, and walk `w` from `start` builds
-    * its sentence with an RNG seeded by `(seed, seedOffset + start, w)` only.
-    * The collected corpus is therefore the sentences of starts × walks in
-    * that order, whatever the partitioning. */
-  private[repro] def walkCorpus[P: ClassTag](spark: SparkSession, payload: P, starts: Array[Int],
-      corpusTokens: Long, walkLength: Int, seed: Long, seedOffset: Long = 0L)(
-      sentence: (P, Int, Random) => Array[String]): DataFrame = {
-    import spark.implicits._
+    * evenly with at least one walk per start node. Walk `w` from `starts(i)`
+    * builds its sentence with an RNG seeded by `(seed, seedOffset + start, w)`
+    * only and fills slot `i · perNode + w`, so the corpus is the sentences of
+    * starts × walks in that order, however the slots are spread over the
+    * driver's cores. */
+  private[repro] def walkCorpus(starts: Array[Int], corpusTokens: Long, walkLength: Int,
+      seed: Long, seedOffset: Long = 0L)(
+      sentence: (Int, Random) => Array[String]): Array[Array[String]] = {
     require(starts.nonEmpty, "no start nodes — empty graph or empty overlap set")
     val totalWalks = math.max(starts.length.toLong, corpusTokens / walkLength)
     val perNode = math.max(1L, totalWalks / starts.length).toInt
-    val bp = spark.sparkContext.broadcast(payload)
-    spark.sparkContext.parallelize(starts.toIndexedSeq, 16)
-      .flatMap { start =>
-        val p = bp.value
-        // Mixed seeds, so nearby start ids give uncorrelated walks.
-        (0 until perNode).iterator.map(w => sentence(p, start, Rand.of(seed, seedOffset + start, w.toLong)))
-      }
-      .toDF("sentence")
+    require(starts.length.toLong * perNode <= Int.MaxValue,
+      s"${starts.length} start nodes x $perNode walks do not fit in one array")
+    val out = new Array[Array[String]](starts.length * perNode)
+    IntStream.range(0, out.length).parallel().forEach { k =>
+      val start = starts(k / perNode)
+      // Mixed seeds, so nearby start ids give uncorrelated walks.
+      out(k) = sentence(start, Rand.of(seed, seedOffset + start, (k % perNode).toLong))
+    }
+    out
   }
 
   /** EmbDI's corpus (Algorithm 2) over `graph`. */
-  def corpus(spark: SparkSession, graph: CompactGraph, cfg: WalkConfig): DataFrame =
-    walkCorpus(spark, graph, startNodes(graph, cfg.startStrategy), cfg.corpusTokens,
-      cfg.walkLength, cfg.seed) { (g, start, rng) => emit(g, walkFrom(g, start, cfg, rng), cfg, rng) }
+  def sentences(graph: CompactGraph, cfg: WalkConfig): Array[Array[String]] =
+    walkCorpus(startNodes(graph, cfg.startStrategy), cfg.corpusTokens, cfg.walkLength,
+      cfg.seed) { (start, rng) => emit(graph, walkFrom(graph, start, cfg, rng), cfg, rng) }
+
+  /** [[sentences]] as a `sentence: array<string>` DataFrame; kept only for
+    * the `perfbench/` harness. */
+  def corpus(spark: SparkSession, graph: CompactGraph, cfg: WalkConfig): DataFrame = {
+    import spark.implicits._
+    sentences(graph, cfg).toSeq.toDF("sentence")
+  }
 
   /** Paper's corpus-size rule of thumb (§7.3):
     * `#corpus tokens = (#distinct values + #rows) * factor` (paper uses

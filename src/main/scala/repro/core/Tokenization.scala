@@ -40,15 +40,25 @@ object Tokenization {
   private def words(norm: String): Seq[String] =
     norm.split('_').toIndexedSeq.filter(_.nonEmpty)
 
+  /** Prepended to a whole-cell token that starts with a RID or CID prefix,
+    * or with this marker itself, so that node kinds read from name prefixes
+    * stay right: the cell `idx__0` is the token `tok__idx__0`, not RID 0.
+    * The rule is injective. Words hold no `_`, so they never need it. */
+  private val EscapeMarker = "tok__"
+
+  private def whole(norm: String): Seq[String] = Seq(
+    if (norm.startsWith(NodeNames.RidPrefix) || norm.startsWith(NodeNames.CidPrefix) ||
+        norm.startsWith(EscapeMarker)) EscapeMarker + norm else norm)
+
   /** Token node names for one cell under the given strategy. */
   def tokens(raw: String, strategy: Strategy, sigFigs: Int = 4): Seq[String] =
     normalize(raw, sigFigs) match {
       case None => Seq.empty
       case Some(norm) =>
         strategy match {
-          case Simple          => Seq(norm)
+          case Simple          => whole(norm)
           case Flatten         => words(norm)
-          case Overlap(shared) => if (shared.contains(norm)) Seq(norm) else words(norm)
+          case Overlap(shared) => if (shared.contains(norm)) whole(norm) else words(norm)
         }
     }
 

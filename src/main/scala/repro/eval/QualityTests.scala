@@ -128,16 +128,17 @@ object QualityTests {
     }.take(n)
   }
 
-  /** Fraction of tests where the model singles out the intruder. Tests whose
-    * intruder is unknown to the model count as failed (matching how the
-    * paper penalises pre-trained spaces missing dataset vocabulary). */
-  def evaluate(model: EmbeddingModel, tests: Seq[QTest], seed: Long = 0L): Double = {
-    if (tests.isEmpty) return 0.0
-    val rng = new Random(seed)
-    val passed = tests.count { t =>
-      val shuffled = rng.shuffle(t.tokens :+ t.intruder)
-      model.doesntMatch(shuffled).contains(t.intruder)
+  /** Fraction of tests where the model singles out the intruder, or `None`
+    * (not applicable) when there is no test. Tests whose intruder is unknown
+    * to the model count as failed (matching how the paper penalises
+    * pre-trained spaces missing dataset vocabulary). */
+  def evaluate(model: EmbeddingModel, tests: Seq[QTest], seed: Long = 0L): Option[Double] =
+    Option.when(tests.nonEmpty) {
+      val rng = new Random(seed)
+      val passed = tests.count { t =>
+        val shuffled = rng.shuffle(t.tokens :+ t.intruder)
+        model.doesntMatch(shuffled).contains(t.intruder)
+      }
+      passed.toDouble / tests.size
     }
-    passed.toDouble / tests.size
-  }
 }

@@ -42,7 +42,7 @@ class HarpSpec extends SparkSpec {
   }
 
   test("train produces embeddings for fine-level node names") {
-    val res = Harp.train(spark, graph,
+    val res = Harp.train(graph,
       Harp.Config(levels = 2, corpusTokens = 60000, walkLength = 10,
         w2v = EmbeddingTrainer.W2VConfig(dim = 16, minCount = 1)))
     // supernode names (h1__/h2__) must not leak into the model vocabulary
@@ -55,7 +55,7 @@ class HarpSpec extends SparkSpec {
   }
 
   test("train over a graph with no start nodes is rejected, not divided by zero") {
-    val e = intercept[IllegalArgumentException](Harp.train(spark, CompactGraph.build(Seq.empty), Harp.Config()))
+    val e = intercept[IllegalArgumentException](Harp.train(CompactGraph.build(Seq.empty), Harp.Config()))
     assert(e.getMessage.contains("no start nodes"))
   }
 }

@@ -5,16 +5,18 @@ import scala.util.Random
 import scala.util.hashing.MurmurHash3
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.storage.StorageLevel
 import repro.{SparkSpec, TestFixtures}
 import repro.integration.{EntityResolver, Metrics, SchemaMatcher}
 
 class EmbeddingTrainerSpec extends SparkSpec {
   import EmbeddingTrainer._
 
-  private def corpusOf(sentences: Seq[Seq[String]]): DataFrame = {
+  private def corpusOf(sentences: Seq[Seq[String]]): Array[Array[String]] =
+    sentences.map(_.toArray).toArray
+
+  private def frameOf(corpus: Array[Array[String]]): DataFrame = {
     import spark.implicits._
-    sentences.toDF("sentence")
+    corpus.toSeq.toDF("sentence")
   }
 
   private def encode(sentences: Seq[Seq[String]], minCount: Int = 1): Encoded =
@@ -82,17 +84,25 @@ class EmbeddingTrainerSpec extends SparkSpec {
     assert(enc.tokens.drop(2500).toSeq == Seq(0, 1, 1))
   }
 
-  test("training is bit-for-bit repeatable and independent of the partitioning") {
-    val corpus = RandomWalker.corpus(spark, TestFixtures.tinyEmbDI.graph,
-      TestFixtures.testConfig().walk.copy(corpusTokens = 40000L))
-      .persist(StorageLevel.MEMORY_AND_DISK)
+  private lazy val tinyCorpus: Array[Array[String]] = RandomWalker.sentences(
+    TestFixtures.tinyEmbDI.graph, TestFixtures.testConfig().walk.copy(corpusTokens = 40000L))
+
+  test("training repeats bit for bit at a fixed seed") {
     val cfg = W2VConfig(dim = 16, minCount = 1, seed = 3L)
-    val a = vectors(train(corpus, cfg))
+    val a = vectors(train(tinyCorpus, cfg))
     assert(a.nonEmpty)
-    assert(vectors(train(corpus, cfg)) == a)
-    assert(vectors(train(corpus.coalesce(1), cfg)) == a)
-    assert(vectors(train(corpus, cfg.copy(seed = 4L))) != a)
-    corpus.unpersist()
+    assert(vectors(train(tinyCorpus, cfg)) == a)
+    assert(vectors(train(tinyCorpus, cfg.copy(seed = 4L))) != a)
+  }
+
+  test("the DataFrame adapters equal the array path exactly") {
+    val walkCfg = TestFixtures.testConfig().walk.copy(corpusTokens = 40000L)
+    val frame = RandomWalker.corpus(spark, TestFixtures.tinyEmbDI.graph, walkCfg)
+    assert(frame.collect().map(_.getSeq[String](0)).toSeq == tinyCorpus.map(_.toSeq).toSeq)
+    val cfg = W2VConfig(dim = 16, minCount = 1, seed = 3L)
+    val a = vectors(train(tinyCorpus, cfg))
+    assert(vectors(train(frame, cfg)) == a)
+    assert(vectors(train(frameOf(tinyCorpus).coalesce(1), cfg)) == a)
   }
 
   test("an empty vocabulary is rejected naming minCount") {
@@ -137,12 +147,9 @@ class EmbeddingTrainerSpec extends SparkSpec {
       (er, sm)
     }
     val runs = (0L to 4L).map { seed =>
-      val corpus = RandomWalker.corpus(spark, res.graph,
-        base.walk.copy(corpusTokens = tokens, seed = seed)).persist(StorageLevel.MEMORY_AND_DISK)
+      val corpus = RandomWalker.sentences(res.graph, base.walk.copy(corpusTokens = tokens, seed = seed))
       val cfg = base.w2v.copy(seed = seed)
-      val r = (scores(train(corpus, cfg)), scores(ReferenceWord2Vec.train(corpus, cfg)))
-      corpus.unpersist()
-      r
+      (scores(train(corpus, cfg)), scores(ReferenceWord2Vec.train(frameOf(corpus), cfg)))
     }
     def mean(xs: Seq[Double]): Double = xs.sum / xs.size
     val (ours, mllib) = runs.unzip

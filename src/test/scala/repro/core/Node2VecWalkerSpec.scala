@@ -42,21 +42,18 @@ class Node2VecWalkerSpec extends SparkSpec {
   }
 
   test("corpus sentences map node ids to names") {
-    val sentences = corpus(spark, graph, N2VConfig(walkLength = 10, corpusTokens = 2000))
-      .collect().map(_.getSeq[String](0))
+    val sentences = corpus(graph, N2VConfig(walkLength = 10, corpusTokens = 2000))
     assert(sentences.nonEmpty)
     sentences.flatten.foreach(n => assert(graph.index.contains(n)))
   }
 
   test("corpus is deterministic in the seed") {
     val cfg = N2VConfig(walkLength = 10, corpusTokens = 1000, seed = 5)
-    val a = corpus(spark, graph, cfg).collect().map(_.getSeq[String](0).mkString(" ")).sorted
-    val b = corpus(spark, graph, cfg).collect().map(_.getSeq[String](0).mkString(" ")).sorted
-    assert(a.sameElements(b))
+    assert(corpus(graph, cfg).map(_.toSeq).toSeq == corpus(graph, cfg).map(_.toSeq).toSeq)
   }
 
   test("corpus over a graph with no start nodes is rejected, not divided by zero") {
-    val e = intercept[IllegalArgumentException](corpus(spark, CompactGraph.build(Seq.empty), N2VConfig()))
+    val e = intercept[IllegalArgumentException](corpus(CompactGraph.build(Seq.empty), N2VConfig()))
     assert(e.getMessage.contains("no start nodes"))
   }
 

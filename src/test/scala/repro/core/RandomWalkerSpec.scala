@@ -76,41 +76,34 @@ class RandomWalkerSpec extends SparkSpec {
 
   test("corpus honours the token budget within one walk length") {
     val cfg = WalkConfig(walkLength = 10, corpusTokens = 2000, seed = 6)
-    val sentences = corpus(spark, graph, cfg).collect().map(_.getSeq[String](0))
-    val total = sentences.map(_.size).sum
+    val total = sentences(graph, cfg).map(_.length).sum
     assert(total >= 2000 * 9 / 10 && total <= 2 * 2000, s"total tokens $total")
   }
 
   test("every start node gets at least its budget of walks") {
     val cfg = WalkConfig(walkLength = 5, corpusTokens = 5000, seed = 7)
-    val sentences = corpus(spark, graph, cfg).collect().map(_.getSeq[String](0))
     val starts = startNodes(graph, cfg.startStrategy)
     val perNode = math.max(1, (5000 / 5) / starts.length)
-    assert(sentences.length == starts.length.toLong * perNode)
+    assert(sentences(graph, cfg).length == starts.length * perNode)
   }
 
   test("corpus is deterministic in the seed") {
     val cfg = WalkConfig(walkLength = 8, corpusTokens = 1000, seed = 99)
-    val a = corpus(spark, graph, cfg).collect().map(_.getSeq[String](0).mkString(" ")).sorted
-    val b = corpus(spark, graph, cfg).collect().map(_.getSeq[String](0).mkString(" ")).sorted
-    assert(a.sameElements(b))
+    assert(sentences(graph, cfg).map(_.toSeq).toSeq == sentences(graph, cfg).map(_.toSeq).toSeq)
   }
 
   test("different seeds give different corpora") {
-    val a = corpus(spark, graph, WalkConfig(walkLength = 8, corpusTokens = 1000, seed = 1))
-      .collect().map(_.getSeq[String](0).mkString(" ")).sorted
-    val b = corpus(spark, graph, WalkConfig(walkLength = 8, corpusTokens = 1000, seed = 2))
-      .collect().map(_.getSeq[String](0).mkString(" ")).sorted
-    assert(!a.sameElements(b))
+    val a = sentences(graph, WalkConfig(walkLength = 8, corpusTokens = 1000, seed = 1))
+    val b = sentences(graph, WalkConfig(walkLength = 8, corpusTokens = 1000, seed = 2))
+    assert(a.map(_.toSeq).toSeq != b.map(_.toSeq).toSeq)
   }
 
   test("corpus is invariant to the number of partitions") {
     val cfg = WalkConfig(walkLength = 8, corpusTokens = 1000, seed = 42)
-    def sentences(df: DataFrame) =
-      df.collect().map(_.getSeq[String](0).mkString(" ")).toSeq
-    val c = sentences(corpus(spark, graph, cfg))
-    assert(c == sentences(ReferenceWalks.embdi(spark, graph, cfg, numPartitions = 2)))
-    assert(c == sentences(ReferenceWalks.embdi(spark, graph, cfg, numPartitions = 7)))
+    def rows(df: DataFrame) = df.collect().map(_.getSeq[String](0)).toSeq
+    val c = sentences(graph, cfg).map(_.toSeq).toSeq
+    assert(c == rows(ReferenceWalks.embdi(spark, graph, cfg, numPartitions = 2)))
+    assert(c == rows(ReferenceWalks.embdi(spark, graph, cfg, numPartitions = 7)))
   }
 
   test("corpus equals the sequential walks of starts x perNode seeded by (seed, start, walk)") {
@@ -123,14 +116,13 @@ class RandomWalkerSpec extends SparkSpec {
       val rng = Rand.of(42L, s.toLong, w.toLong)
       emit(graph, walkFrom(graph, s, cfg, rng), cfg, rng).toSeq
     }
-    assert(corpus(spark, graph, cfg).collect().map(_.getSeq[String](0)).toSeq == expected)
+    assert(sentences(graph, cfg).map(_.toSeq).toSeq == expected)
   }
 
   test("replacement rewrites emissions with probability, never the path") {
     val cfg = WalkConfig(walkLength = 40, corpusTokens = 20000, seed = 13,
       replacements = Map("ipad" -> ("tablet", 1.0)))
-    val sentences = corpus(spark, graph, cfg).collect().map(_.getSeq[String](0))
-    val tokens = sentences.flatten
+    val tokens = sentences(graph, cfg).flatten
     assert(!tokens.contains("ipad"))
     assert(tokens.contains("tablet"))
     // neighbors of the replaced node still appear (path unaffected): the walk
@@ -141,7 +133,7 @@ class RandomWalkerSpec extends SparkSpec {
   test("replacement with probability 0 never fires") {
     val cfg = WalkConfig(walkLength = 20, corpusTokens = 5000, seed = 14,
       replacements = Map("ipad" -> ("tablet", 0.0)))
-    val tokens = corpus(spark, graph, cfg).collect().flatMap(_.getSeq[String](0))
+    val tokens = sentences(graph, cfg).flatten
     assert(!tokens.contains("tablet"))
   }
 

@@ -1,16 +1,17 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.baselines.Harp
+import repro.baselines.{BasicEmbeddings, Harp}
 
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
-/** The three walk-corpus drivers as they were before the single driver
+/** The walk-corpus drivers as they were before the single driver
   * `RandomWalker.walkCorpus`: EmbDI's `RandomWalker.corpus`,
   * `Node2VecWalker.corpus` and HARP's per-level loop, each with its own
-  * start filter, budget rule, broadcast, seeding and `toDF`. Kept as the
-  * reference that [[WalkEngineSpec]] checks the new drivers against. The
+  * start filter, budget rule, broadcast, seeding and `toDF`; and Basic's
+  * corpus as it was built on RDDs before `BasicEmbeddings.corpus`. Kept as
+  * the reference that [[WalkEngineSpec]] checks the new drivers against. The
   * walk-stepping code is copied too, so a change there shows as well. The
   * removed config fields (`numPartitions`, `firstStepRid`) are arguments.
   */
@@ -154,5 +155,68 @@ object ReferenceWalks {
       }.toDF("sentence")
     }
     corpora.reduce(_ union _)
+  }
+
+  // ------------------------------------------------------------------ Basic
+
+  /** Basic's sentences in collect order. */
+  def basic(spark: SparkSession, datasets: Seq[DataFrame],
+            cfg: BasicEmbeddings.Config): Seq[Seq[String]] = {
+    import spark.implicits._
+
+    // (rid, row tokens) pairs, distributed.
+    val rowTokens = datasets.zipWithIndex.map { case (df, i) =>
+      val dsIdx = i + 1
+      val dataCols = df.columns.filterNot(_ == "__rid").toSeq
+      df.rdd.map { r =>
+        val rid = r.getAs[Long]("__rid")
+        val toks = dataCols.flatMap { c =>
+          Option(r.getAs[Any](c)).toSeq.flatMap(v => Tokenization.tokens(v.toString, cfg.strategy))
+        }
+        (rid, dsIdx, dataCols.map(c => c -> Option(r.getAs[Any](c)).map(_.toString)), toks)
+      }
+    }.reduce(_ union _)
+
+    val rows = rowTokens.filter(_._4.nonEmpty).cache()
+    val nRows = rows.count()
+    val avgRowLen = math.max(2.0, rows.map(_._4.size + 1).sum() / math.max(1L, nRows).toDouble)
+
+    val rowBudgetTokens = (cfg.corpusTokens * cfg.rowFraction).toLong
+    val permsPerRow = math.max(1L, (rowBudgetTokens / avgRowLen / math.max(1L, nRows)).toLong).toInt
+
+    val rowSentences = rows.flatMap { case (rid, _, _, toks) =>
+      (0 until permsPerRow).iterator.map { p =>
+        val rng = repro.core.Rand.of(cfg.seed, rid, p.toLong)
+        (NodeNames.rid(rid) +: rng.shuffle(toks)).toArray
+      }
+    }
+
+    // Attribute-domain samples: collect the (small) per-column domains.
+    val domains: Seq[(String, IndexedSeq[String])] = datasets.zipWithIndex.flatMap { case (df, i) =>
+      val dsIdx = i + 1
+      df.columns.filterNot(_ == "__rid").toSeq.map { c =>
+        val dom = df.select(c).collect()
+          .flatMap(r => Option(r.get(0)))
+          .flatMap(v => Tokenization.tokens(v.toString, cfg.strategy))
+          .distinct.toIndexedSeq
+        NodeNames.cid(dsIdx, c) -> dom
+      }
+    }.filter(_._2.nonEmpty)
+
+    val attrBudgetTokens = cfg.corpusTokens - rowBudgetTokens
+    val perAttr = math.max(1L,
+      attrBudgetTokens / (cfg.attrSentenceLen + 1) / math.max(1, domains.size)).toInt
+    val attrSentences = spark.sparkContext.parallelize(domains.toIndexedSeq)
+      .flatMap { case (cid, dom) =>
+        (0 until perAttr).iterator.map { s =>
+          val rng = repro.core.Rand.of(cfg.seed, cid.hashCode.toLong, s.toLong)
+          (cid +: Array.fill(cfg.attrSentenceLen)(dom(rng.nextInt(dom.size)))).toArray
+        }
+      }
+
+    val corpus = rowSentences.union(attrSentences).toDF("sentence")
+    val out = corpus.collect().map(_.getSeq[String](0).toSeq).toSeq
+    rows.unpersist()
+    out
   }
 }

@@ -64,6 +64,17 @@ class TokenizationSpec extends SparkSpec {
     assert(tokens(null, Flatten).isEmpty)
   }
 
+  test("whole-cell tokens that look like node names are escaped injectively") {
+    val cells = Seq("idx__0", "cid__1__a", "tok__idx__0", "tok__x", "x", "idx_0")
+    Seq(Simple, Overlap(cells.toSet)).foreach { st =>
+      val toks = cells.map(tokens(_, st))
+      assert(toks == Seq(Seq("tok__idx__0"), Seq("tok__cid__1__a"), Seq("tok__tok__idx__0"),
+        Seq("tok__tok__x"), Seq("x"), Seq("idx_0")))
+      assert(toks.flatten.forall(NodeNames.isToken))
+    }
+    assert(tokens("idx__0", Flatten) == Seq("idx", "0"))
+  }
+
   test("numeric cells produce one token under every strategy") {
     Seq(Simple, Flatten, Overlap(Set.empty[String])).foreach { st =>
       assert(tokens("42.5", st) == Seq("42.5"))

@@ -105,6 +105,21 @@ class TripartiteGraphSpec extends SparkSpec {
       "m" -> melted)
   }
 
+  test("cells that look like RID or CID names stay token nodes") {
+    import spark.implicits._
+    val df = Seq((0L, "idx__5", "cid__2__z", "tok__x"), (1L, "idx__0", "cid__1__a", "plain"))
+      .toDF("__rid", "a", "b", "c")
+    val g = CompactGraph.fromEdges(TripartiteGraph.edges(spark, Seq(df), Tokenization.Simple))
+    val got = Seq((g.nodeIdsOfType(1).length.toLong, g.nodeIdsOfType(2).length.toLong))
+      .toDF("rids", "cids")
+    val melted = Seq("a", "b", "c").map(c => df.selectExpr("__rid as rid", s"'$c' as col"))
+      .reduce(_ union _)
+    Oracle.assertEquivalent(got,
+      "SELECT count(DISTINCT rid) as rids, count(DISTINCT col) as cids FROM m", "m" -> melted)
+    assert(g.nodeIdsOfType(0).map(g.names).toSet ==
+      Set("tok__idx__5", "tok__cid__2__z", "tok__tok__x", "tok__idx__0", "tok__cid__1__a", "plain"))
+  }
+
   test("doubles cast to scientific notation are rounded like plain numbers (§4.1)") {
     import spark.implicits._
     // cast("string") renders these as "1.2345678E7" and "1.0E-4".

@@ -1,16 +1,18 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.baselines.Harp
+import repro.baselines.{BasicEmbeddings, Harp}
 import repro.{SparkSpec, TestFixtures}
 
-/** The single corpus driver against the three drivers it replaced
+/** The driver-side corpora against the Spark drivers they replaced
   * ([[ReferenceWalks]]): every corpus must be the same, row for row and in
   * order, at the same seed. */
 class WalkEngineSpec extends SparkSpec {
 
   private def rows(df: DataFrame): Seq[Seq[String]] =
     df.collect().map(_.getSeq[String](0).toSeq).toSeq
+
+  private def rows(corpus: Array[Array[String]]): Seq[Seq[String]] = corpus.map(_.toSeq).toSeq
 
   private lazy val graph: CompactGraph = TestFixtures.tinyEmbDI.graph
 
@@ -27,7 +29,7 @@ class WalkEngineSpec extends SparkSpec {
       val cfg = RandomWalker.WalkConfig(walkLength = 15, corpusTokens = 20000,
         startStrategy = start, firstStepOrCid = orCid,
         replacements = replaced.map(t => t -> (s"$t~", p)).toMap, seed = 17L)
-      val got = rows(RandomWalker.corpus(spark, graph, cfg))
+      val got = rows(RandomWalker.sentences(graph, cfg))
       assert(got.nonEmpty)
       assert(got == rows(ReferenceWalks.embdi(spark, graph, cfg)),
         s"start=${start.getClass.getSimpleName} orCid=$orCid p=$p")
@@ -37,7 +39,7 @@ class WalkEngineSpec extends SparkSpec {
   test("node2vec corpora equal the old driver's for p/q in {(1,1), (.25,4), (4,.25)}") {
     Seq((1.0, 1.0), (0.25, 4.0), (4.0, 0.25)).foreach { case (p, q) =>
       val cfg = Node2VecWalker.N2VConfig(walkLength = 12, corpusTokens = 15000, p = p, q = q, seed = 23L)
-      assert(rows(Node2VecWalker.corpus(spark, graph, cfg)) ==
+      assert(rows(Node2VecWalker.corpus(graph, cfg)) ==
         rows(ReferenceWalks.node2vec(spark, graph, cfg)), s"p=$p q=$q")
     }
   }
@@ -48,9 +50,20 @@ class WalkEngineSpec extends SparkSpec {
     val g0 = CompactGraph.fromEdges(TripartiteGraph.edges(spark, Seq(df), Tokenization.Simple))
     Seq(0, 1, 2).foreach { levels =>
       val cfg = Harp.Config(levels = levels, corpusTokens = 6000, walkLength = 10)
-      val got = rows(Harp.corpus(spark, g0, cfg))
+      val got = rows(Harp.corpus(g0, cfg))
       assert(got.nonEmpty)
       assert(got == rows(ReferenceWalks.harp(spark, g0, cfg)), s"levels=$levels")
+    }
+  }
+
+  test("Basic's corpus equals the old RDD corpus under Flatten and Overlap") {
+    val sc = TestFixtures.tiny
+    val data = Seq(sc.d1, sc.d2)
+    Seq(Tokenization.Flatten, Tokenization.Overlap(TestFixtures.tinyShared)).foreach { st =>
+      val cfg = BasicEmbeddings.Config(corpusTokens = 30000, strategy = st)
+      val got = rows(BasicEmbeddings.corpus(data, cfg))
+      assert(got.nonEmpty)
+      assert(got == ReferenceWalks.basic(spark, data, cfg), st.name)
     }
   }
 }

@@ -70,19 +70,23 @@ class QualityTestsSpec extends SparkSpec {
     val good = EmbeddingModel(vocab.map { w =>
       if (intruders(w)) w -> Array(0f, 1f, sketch(w)) else w -> Array(1f, 0f, sketch(w) * 0.01f)
     })
-    assert(QualityTests.evaluate(good, clean) > 0.9)
+    assert(QualityTests.evaluate(good, clean).exists(_ > 0.9))
   }
 
   test("evaluate counts unknown intruders as failures") {
     val tests = Seq(QualityTests.QTest("MA", Seq("a", "b", "c", "d"), "zzz"))
     val m = EmbeddingModel(Seq("a" -> Array(1f, 0f), "b" -> Array(1f, 0.1f),
       "c" -> Array(1f, -0.1f), "d" -> Array(0.9f, 0f)))
-    assert(QualityTests.evaluate(m, tests) == 0.0)
+    assert(QualityTests.evaluate(m, tests).contains(0.0))
   }
 
-  test("evaluate of empty test set is zero") {
+  test("evaluate of an empty test set is not applicable") {
     val m = EmbeddingModel(Seq("a" -> Array(1f)))
-    assert(QualityTests.evaluate(m, Seq.empty) == 0.0)
+    assert(QualityTests.evaluate(m, Seq.empty).isEmpty)
+    // FZ has no maker column, hence no MC test: AVG is the MA/MR mean.
+    val fz = Bench.QualityScores(Some(0.75), Some(0.25), None)
+    assert(fz.avg == 0.5)
+    assert(fz.render == "MA=0.75 MR=0.25 MC=n.a. AVG=0.50")
   }
 
   private def sketch(w: String): Float = (w.hashCode % 97) / 970f
