@@ -1,7 +1,7 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, Row}
-import repro.core.{EmbeddingModel, EmbeddingTrainer, NodeNames, Rand, Tokenization}
+import org.apache.spark.sql.DataFrame
+import repro.core.{EmbeddingModel, EmbeddingTrainer, NodeNames, Rand, Relation, Tokenization}
 
 /** The `Basic` baseline of §7: no graph — sentences are (a) permutations of
   * each row's tokens prefixed by the row's RID and (b) samples of each
@@ -30,17 +30,16 @@ object BasicEmbeddings {
   def train(datasets: Seq[DataFrame], cfg: Config): EmbeddingModel =
     EmbeddingTrainer.train(corpus(datasets, cfg), cfg.w2v)
 
-  /** Basic's sentences, built on the driver from one collect per dataset:
+  /** Basic's sentences, built on the driver from one read per dataset:
     * `permsPerRow` shuffles of each non-empty row's tokens, opened by its RID
     * (the rows of D1, then of D2), then `perAttr` samples of each non-empty
     * column domain, opened by its CID. */
   private[repro] def corpus(datasets: Seq[DataFrame], cfg: Config): Array[Array[String]] = {
-    val tables = datasets.map(df => (df.columns.filterNot(_ == "__rid").toSeq, df.collect()))
-    def tokens(r: Row, c: String): Seq[String] =
-      Option(r.getAs[Any](c)).toSeq.flatMap(v => Tokenization.tokens(v.toString, cfg.strategy))
+    val relations = datasets.map(Relation.read)
+    def tokens(cell: String): Seq[String] = Tokenization.tokens(cell, cfg.strategy)
 
-    val rows = tables.flatMap { case (cols, rs) =>
-      rs.map(r => (r.getAs[Long]("__rid"), cols.flatMap(tokens(r, _))))
+    val rows = relations.flatMap { rel =>
+      rel.rids.indices.map(r => (rel.rids(r), rel.cells(r).toSeq.flatMap(tokens)))
     }.filter(_._2.nonEmpty)
     val nRows = math.max(1L, rows.size.toLong)
     val avgRowLen = math.max(2.0, rows.map(_._2.size + 1L).sum / nRows.toDouble)
@@ -55,8 +54,9 @@ object BasicEmbeddings {
     }
 
     // Attribute domains: distinct tokens of each column, in row order.
-    val domains = tables.zipWithIndex.flatMap { case ((cols, rs), i) =>
-      cols.map(c => NodeNames.cid(i + 1, c) -> rs.flatMap(tokens(_, c)).distinct.toIndexedSeq)
+    val domains = relations.zipWithIndex.flatMap { case (rel, i) =>
+      rel.columns.map(c =>
+        NodeNames.cid(i + 1, c) -> rel.values(c).flatMap(tokens).distinct.toIndexedSeq)
     }.filter(_._2.nonEmpty)
     val attrBudgetTokens = cfg.corpusTokens - rowBudgetTokens
     val perAttr = math.max(1L,

@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.ml.classification.LogisticRegression
 import org.apache.spark.ml.linalg.Vectors
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{EmbeddingModel, Tokenization}
+import repro.core.{EmbeddingModel, Relation, Tokenization}
 import repro.integration.{Metrics, PRF}
 
 import scala.util.Random
@@ -38,12 +38,11 @@ object DeepER {
                            strategy: Tokenization.Strategy)
       : Map[Long, (Array[Array[Float]], Array[Float])] = {
     val dim = model.dim
-    df.collect().map { r =>
-      val rid = r.getAs[Long]("__rid")
-      val attrVecs = cols.map { c =>
-        val toks = Option(r.getAs[Any](c)).toSeq
-          .flatMap(v => Tokenization.tokens(v.toString, strategy))
-        val vs = toks.flatMap(model.vector)
+    val rel = Relation.read(df)
+    val js = cols.map(rel.columnIndex)
+    rel.rids.indices.map { r =>
+      val attrVecs = js.map { j =>
+        val vs = Tokenization.tokens(rel.cells(r)(j), strategy).flatMap(model.vector)
         if (vs.isEmpty) new Array[Float](dim)
         else {
           val acc = new Array[Float](dim)
@@ -56,7 +55,7 @@ object DeepER {
         attrVecs.foreach { v => var i = 0; while (i < dim) { acc(i) += v(i); i += 1 } }
         EmbeddingModel.normalize(acc)
       }
-      rid -> (attrVecs, tup)
+      rel.rids(r) -> (attrVecs, tup)
     }.toMap
   }
 

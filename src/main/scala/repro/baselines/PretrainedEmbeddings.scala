@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{EmbeddingModel, NodeNames, Tokenization}
+import repro.core.{EmbeddingModel, NodeNames, Relation, Tokenization}
 
 import scala.util.Random
 
@@ -59,27 +59,22 @@ object PretrainedEmbeddings {
   def forDatasets(datasets: Seq[DataFrame], strategy: Tokenization.Strategy,
                   dim: Int = DefaultDim): EmbeddingModel = {
     val entries = scala.collection.mutable.LinkedHashMap.empty[String, Array[Float]]
-    datasets.zipWithIndex.foreach { case (df, i) =>
-      val dsIdx = i + 1
-      val dataCols = df.columns.filterNot(_ == "__rid").toSeq
-      val colAcc = dataCols.map(c => c -> new Array[Float](dim)).toMap
-      df.collect().foreach { r =>
-        val rid = r.getAs[Long]("__rid")
+    datasets.map(Relation.read).zipWithIndex.foreach { case (rel, i) =>
+      val colAcc = rel.columns.map(_ => new Array[Float](dim))
+      rel.rids.indices.foreach { r =>
         val rowAcc = new Array[Float](dim)
         var any = false
-        dataCols.foreach { c =>
-          Option(r.getAs[Any](c)).foreach { v =>
-            Tokenization.tokens(v.toString, strategy).foreach { tok =>
-              val tv = entries.getOrElseUpdate(tok, tokenVector(tok, dim))
-              var k = 0; while (k < dim) { rowAcc(k) += tv(k); colAcc(c)(k) += tv(k); k += 1 }
-              any = true
-            }
+        rel.columns.indices.foreach { j =>
+          Tokenization.tokens(rel.cells(r)(j), strategy).foreach { tok =>
+            val tv = entries.getOrElseUpdate(tok, tokenVector(tok, dim))
+            var k = 0; while (k < dim) { rowAcc(k) += tv(k); colAcc(j)(k) += tv(k); k += 1 }
+            any = true
           }
         }
-        if (any) entries(NodeNames.rid(rid)) = EmbeddingModel.normalize(rowAcc)
+        if (any) entries(NodeNames.rid(rel.rids(r))) = EmbeddingModel.normalize(rowAcc)
       }
-      dataCols.foreach { c =>
-        entries(NodeNames.cid(dsIdx, c)) = EmbeddingModel.normalize(colAcc(c))
+      rel.columns.indices.foreach { j =>
+        entries(NodeNames.cid(i + 1, rel.columns(j))) = EmbeddingModel.normalize(colAcc(j))
       }
     }
     EmbeddingModel(entries.toSeq)

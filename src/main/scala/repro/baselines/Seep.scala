@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{EmbeddingModel, NodeNames, Tokenization}
+import repro.core.{EmbeddingModel, NodeNames, Relation, Tokenization}
 import repro.integration.SchemaMatcher
 
 /** Stand-in for SEEP ("Seeping Semantics", ICDE'18) — the existing
@@ -30,25 +30,25 @@ object Seep {
     EmbeddingModel.normalize(acc)
   }
 
-  private def columnValues(df: DataFrame, c: String): Seq[String] =
-    df.select(c).collect().flatMap(r => Option(r.get(0)).map(_.toString)).toSeq
+  /** Per data column of `df` (read once), its signature. */
+  private def signatures(df: DataFrame)(sig: (String, Seq[String]) => Signature)
+      : Seq[(String, Signature)] = {
+    val rel = Relation.read(df)
+    rel.columns.map(c => c -> sig(c, rel.values(c)))
+  }
 
   /** SeepP: pre-trained vectors for labels and instance tokens. */
   def runPretrained(d1: DataFrame, d2: DataFrame, labelWeight: Double = 0.5,
                     dim: Int = PretrainedEmbeddings.DefaultDim): Seq[(String, String)] = {
-    def sig(df: DataFrame, c: String): Signature = {
-      val toks = columnValues(df, c)
-        .flatMap(v => Tokenization.tokens(v, Tokenization.Flatten)).distinct
+    def sig(c: String, values: Seq[String]): Signature = {
+      val toks = values.flatMap(v => Tokenization.tokens(v, Tokenization.Flatten)).distinct
       Signature(
         label = PretrainedEmbeddings.tokenVector(c.toLowerCase, dim),
         centroid =
           if (toks.isEmpty) new Array[Float](dim)
           else centroid(toks.map(PretrainedEmbeddings.tokenVector(_, dim)), dim))
     }
-    matchBySignatures(
-      d1.columns.filterNot(_ == "__rid").toSeq.map(c => c -> sig(d1, c)),
-      d2.columns.filterNot(_ == "__rid").toSeq.map(c => c -> sig(d2, c)),
-      labelWeight)
+    matchBySignatures(signatures(d1)(sig), signatures(d2)(sig), labelWeight)
   }
 
   /** SeepL: EmbDI local embeddings — CID vector (if learned) blended with
@@ -56,16 +56,13 @@ object Seep {
   def runLocal(d1: DataFrame, d2: DataFrame, model: EmbeddingModel,
                strategy: Tokenization.Strategy): Seq[(String, String)] = {
     val dim = model.dim
-    def sig(df: DataFrame, dsIdx: Int, c: String): Signature = {
-      val toks = columnValues(df, c).flatMap(v => Tokenization.tokens(v, strategy)).distinct
+    def sig(dsIdx: Int)(c: String, values: Seq[String]): Signature = {
+      val toks = values.flatMap(v => Tokenization.tokens(v, strategy)).distinct
       val cen = centroid(toks.flatMap(model.vector), dim)
       val cid = model.vector(NodeNames.cid(dsIdx, c)).getOrElse(cen)
       Signature(label = cid, centroid = cen)
     }
-    matchBySignatures(
-      d1.columns.filterNot(_ == "__rid").toSeq.map(c => c -> sig(d1, 1, c)),
-      d2.columns.filterNot(_ == "__rid").toSeq.map(c => c -> sig(d2, 2, c)),
-      labelWeight = 0.5)
+    matchBySignatures(signatures(d1)(sig(1)), signatures(d2)(sig(2)), labelWeight = 0.5)
   }
 
   /** Minimum combined similarity for a candidate pair to be considered at

@@ -84,17 +84,15 @@ final class CompactGraph(
 
 object CompactGraph {
 
-  /** Materialise the CSR from the DataFrame edge list produced by
-    * [[TripartiteGraph.edges]] (token→rid / token→cid directed pairs;
-    * symmetrized here). */
-  def fromEdges(edgeDf: DataFrame): CompactGraph = {
-    val pairs = edgeDf.collect().map(r => (r.getString(0), r.getString(1)))
-    build(pairs.toIndexedSeq)
-  }
+  /** [[build]] over a collected two-column edge DataFrame (such as
+    * [[TripartiteGraph.edges]]). */
+  def fromEdges(edgeDf: DataFrame): CompactGraph =
+    build(edgeDf.collect().toSeq.map(r => (r.getString(0), r.getString(1))))
 
-  /** Build from an explicit undirected edge list (tests, coarsened graphs). */
+  /** Build from an undirected edge list, repeats allowed (the tripartite
+    * graph's token→RID/CID pairs, tests, coarsened graphs). */
   def build(pairs: Seq[(String, String)]): CompactGraph = {
-    val nameSet = new scala.collection.mutable.LinkedHashSet[String]
+    val nameSet = new scala.collection.mutable.HashSet[String]
     pairs.foreach { case (a, b) => nameSet += a; nameSet += b }
     val names = nameSet.toArray.sorted // sorted ⇒ deterministic node ids
     val index = names.zipWithIndex.toMap

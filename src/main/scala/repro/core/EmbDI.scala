@@ -1,8 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{col, count, countDistinct, lit}
-import org.apache.spark.storage.StorageLevel
 
 /** The EmbDI meta-algorithm (Algorithm 3): graph construction → sentence
   * construction → embedding construction, with the wall-clock breakdown the
@@ -37,52 +35,47 @@ object EmbDI {
   }
 
   /** Resolve an `Overlap` strategy that was constructed with an empty shared
-    * set by computing the shared values of the first two datasets. */
-  def resolveStrategy(spark: SparkSession, datasets: Seq[DataFrame],
-                      strategy: Tokenization.Strategy, sigFigs: Int): Tokenization.Strategy =
+    * set by computing the shared values of the first two relations. */
+  private def resolveStrategy(relations: Seq[Relation], strategy: Tokenization.Strategy,
+                              sigFigs: Int): Tokenization.Strategy =
     strategy match {
-      case Tokenization.Overlap(s) if s.isEmpty && datasets.size >= 2 =>
-        Tokenization.Overlap(Tokenization.sharedValues(spark, datasets(0), datasets(1), sigFigs))
+      case Tokenization.Overlap(s) if s.isEmpty && relations.size >= 2 =>
+        Tokenization.Overlap(Tokenization.sharedValues(relations(0), relations(1), sigFigs))
       case other => other
     }
 
-  /** The number of rows of `datasets`, after checking in one pass over their
-    * `__rid` columns that no id occurs twice (two rows with one id would
-    * silently merge into one RID node). */
-  private def uniqueRows(datasets: Seq[DataFrame]): Long = {
-    val rids = datasets.map(_.select(col("__rid"))).reduce(_ union _)
-    val r = rids.agg(count(lit(1)), countDistinct(col("__rid"))).head()
-    val (nRows, nDistinct) = (r.getLong(0), r.getLong(1))
-    require(nRows == nDistinct, {
-      val dups = rids.groupBy("__rid").count().filter(col("count") > 1)
-        .orderBy("__rid").limit(5).collect().map(_.get(0))
-      s"__rid must be unique across the input datasets: ${nRows - nDistinct} rows repeat " +
-        s"an id (or have none), e.g. ${dups.mkString(", ")}"
-    })
-    nRows
+  /** [[resolveStrategy]] over datasets, each read once. */
+  def resolveStrategy(spark: SparkSession, datasets: Seq[DataFrame],
+                      strategy: Tokenization.Strategy, sigFigs: Int): Tokenization.Strategy =
+    resolveStrategy(datasets.map(Relation.read), strategy, sigFigs)
+
+  /** Check that no `__rid` occurs twice across `relations` and none is NULL
+    * (two rows with one id would silently merge into one RID node). */
+  private def requireUniqueRids(relations: Seq[Relation]): Unit = {
+    val rids = relations.flatMap(_.rids).toArray.sorted
+    val repeats = rids.indices.filter(i => i > 0 && rids(i) == rids(i - 1))
+    val nMissing = repeats.size + relations.map(_.nullRids).sum
+    require(nMissing == 0,
+      s"__rid must be unique across the input datasets: $nMissing rows repeat " +
+        s"an id (or have none), e.g. ${repeats.map(rids).distinct.take(5).mkString(", ")}")
   }
 
   /** Run the full pipeline over one or more datasets (each with a globally
-    * unique `__rid` column). */
+    * unique `__rid` column). Each dataset is read once; the graph, the `__rid`
+    * check and the corpus-size statistics all come from that read. */
   def run(spark: SparkSession, datasets: Seq[DataFrame], cfg: Config = Config()): Result = {
     require(datasets.nonEmpty)
 
-    val strategy = resolveStrategy(spark, datasets, cfg.strategy, cfg.sigFigs)
-
-    val (graph, graphMs) = timed {
-      val edges = TripartiteGraph.edges(spark, datasets, strategy, cfg.sigFigs)
-        .persist(StorageLevel.MEMORY_AND_DISK)
-      val g = CompactGraph.fromEdges(edges)
-      edges.unpersist()
-      g
+    val ((relations, graph), graphMs) = timed {
+      val relations = datasets.map(Relation.read)
+      requireUniqueRids(relations)
+      val strategy = resolveStrategy(relations, cfg.strategy, cfg.sigFigs)
+      (relations, TripartiteGraph.build(relations, strategy, cfg.sigFigs))
     }
 
-    // Input statistics for the corpus-size rule — not part of the graph
-    // construction time the paper reports as G.
-    import spark.implicits._
-    val nDistinct = datasets.map(Tokenization.cells(spark, _)).reduce(_ union _)
-      .flatMap(v => Tokenization.normalize(v, cfg.sigFigs)).distinct().count()
-    val nRows = uniqueRows(datasets)
+    // Input statistics for the corpus-size rule, from the relations above.
+    val nDistinct = relations.map(Tokenization.values(_, cfg.sigFigs)).reduce(_ ++ _).size.toLong
+    val nRows = relations.map(_.nRows.toLong).sum
     val corpusTokens =
       if (cfg.corpusFactor > 0) RandomWalker.corpusTokensRule(nDistinct, nRows, cfg.corpusFactor)
       else cfg.walk.corpusTokens

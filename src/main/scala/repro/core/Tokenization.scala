@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Cell-value tokenization strategies of §5.5 / §7.2.
   *
@@ -18,7 +17,7 @@ object Tokenization {
   sealed trait Strategy { def name: String }
   case object Simple  extends Strategy { val name = "EmbDI-S" }
   case object Flatten extends Strategy { val name = "EmbDI-F" }
-  /** `shared` is the set of normalized whole-cell values present in both
+  /** `shared` holds the token names of the whole-cell values present in both
     * datasets (computed once via [[sharedValues]]). */
   final case class Overlap(shared: Set[String]) extends Strategy { val name = "EmbDI-O" }
 
@@ -46,9 +45,9 @@ object Tokenization {
     * The rule is injective. Words hold no `_`, so they never need it. */
   private val EscapeMarker = "tok__"
 
-  private def whole(norm: String): Seq[String] = Seq(
+  private def tokenName(norm: String): String =
     if (norm.startsWith(NodeNames.RidPrefix) || norm.startsWith(NodeNames.CidPrefix) ||
-        norm.startsWith(EscapeMarker)) EscapeMarker + norm else norm)
+        norm.startsWith(EscapeMarker)) EscapeMarker + norm else norm
 
   /** Token node names for one cell under the given strategy. */
   def tokens(raw: String, strategy: Strategy, sigFigs: Int = 4): Seq[String] =
@@ -56,42 +55,46 @@ object Tokenization {
       case None => Seq.empty
       case Some(norm) =>
         strategy match {
-          case Simple          => whole(norm)
+          case Simple          => Seq(tokenName(norm))
           case Flatten         => words(norm)
-          case Overlap(shared) => if (shared.contains(norm)) whole(norm) else words(norm)
+          case Overlap(shared) =>
+            val whole = tokenName(norm)
+            if (shared.contains(whole)) Seq(whole) else words(norm)
         }
     }
 
-  /** Every data cell of `df` (all columns but `__rid`) as a string, NULLs included,
-    * melted in one projection: a `select` + `union` per column scans once per column. */
-  private[core] def cells(spark: SparkSession, df: DataFrame): Dataset[String] = {
-    import spark.implicits._
-    val dataCols = df.columns.filterNot(_ == "__rid").toSeq
-    df.select(explode(array(dataCols.map(c => col(c).cast("string")): _*))).as[String]
-  }
+  /** Normalized values of every cell of `rel`; NULL and blank cells give none. */
+  def values(rel: Relation, sigFigs: Int): Set[String] =
+    rel.allCells.flatMap(normalize(_, sigFigs)).toSet
 
-  /** Normalized whole-cell values occurring in both datasets (DataFrame
-    * intersection over all data columns) — the EmbDI-O bridge set and the
-    * overlap statistic of Table 1. */
+  /** Token node names of every cell of `rel` under `strategy`. */
+  def tokenNames(rel: Relation, strategy: Strategy, sigFigs: Int): Set[String] =
+    rel.allCells.flatMap(tokens(_, strategy, sigFigs)).toSet
+
+  /** Whole-cell values occurring in both relations, as token names (escaped
+    * like [[tokens]] does) — the EmbDI-O bridge set, part of the §5.1 start
+    * set and the overlap statistic of Table 1. */
+  def sharedValues(r1: Relation, r2: Relation, sigFigs: Int): Set[String] =
+    values(r1, sigFigs).intersect(values(r2, sigFigs)).map(tokenName)
+
+  /** Token names (under `strategy`) occurring in both relations — the walk
+    * start set of the §5.1 overlap heuristic. */
+  def sharedTokens(r1: Relation, r2: Relation, strategy: Strategy, sigFigs: Int): Set[String] =
+    tokenNames(r1, strategy, sigFigs).intersect(tokenNames(r2, strategy, sigFigs))
+
+  /** [[sharedValues]] of two datasets, each read once. */
   def sharedValues(spark: SparkSession, d1: DataFrame, d2: DataFrame,
-                   sigFigs: Int = 4): Set[String] = {
-    distinctValues(spark, d1, sigFigs).intersect(distinctValues(spark, d2, sigFigs))
-      .collect().map(_.getString(0)).toSet
-  }
+                   sigFigs: Int = 4): Set[String] =
+    sharedValues(Relation.read(d1), Relation.read(d2), sigFigs)
 
-  /** Token-level shared set: token node names (under `strategy`) occurring
-    * in both datasets — the walk start set for the §5.1 overlap heuristic. */
+  /** [[sharedTokens]] of two datasets, each read once. */
   def sharedTokens(spark: SparkSession, d1: DataFrame, d2: DataFrame,
-                   strategy: Strategy, sigFigs: Int = 4): Set[String] = {
-    import spark.implicits._
-    def toks(df: DataFrame): DataFrame =
-      cells(spark, df).flatMap(v => tokens(v, strategy, sigFigs)).toDF("t").distinct()
-    toks(d1).intersect(toks(d2)).collect().map(_.getString(0)).toSet
-  }
+                   strategy: Strategy, sigFigs: Int = 4): Set[String] =
+    sharedTokens(Relation.read(d1), Relation.read(d2), strategy, sigFigs)
 
-  /** One-column DataFrame `value` of distinct normalized cell values. */
+  /** [[values]] of one dataset as a one-column DataFrame `value`. */
   def distinctValues(spark: SparkSession, df: DataFrame, sigFigs: Int = 4): DataFrame = {
     import spark.implicits._
-    cells(spark, df).flatMap(v => normalize(v, sigFigs)).toDF("value").distinct()
+    values(Relation.read(df), sigFigs).toSeq.toDF("value")
   }
 }

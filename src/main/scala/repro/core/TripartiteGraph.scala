@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 /** Node-name conventions of the tripartite graph. */
 object NodeNames {
@@ -21,8 +20,8 @@ object NodeNames {
   def ridValue(n: String): Long = n.stripPrefix(RidPrefix).toLong
 }
 
-/** Tripartite graph construction (Algorithm 1 / §4.1) as DataFrame
-  * transformations.
+/** Tripartite graph construction (Algorithm 1 / §4.1) in one pass over
+  * each relation, on the driver.
   *
   * Input datasets carry a `__rid` long column with *globally unique* row ids
   * (the scenario generator assigns `[0, n1)` to dataset 1 and `[n1, n1+n2)`
@@ -33,26 +32,37 @@ object NodeNames {
   */
 object TripartiteGraph {
 
-  /** Undirected edge list: columns `src`, `dst` (node names), deduplicated.
-    * Only the (token → rid) and (token → cid) direction is materialised;
-    * [[CompactGraph]] symmetrizes. */
+  /** The token→RID and token→CID pair of every token of every cell, repeats
+    * included. Only that direction is emitted; [[CompactGraph.build]]
+    * symmetrizes and deduplicates. */
+  private def pairs(relations: Seq[Relation], strategy: Tokenization.Strategy,
+                    sigFigs: Int): Seq[(String, String)] = {
+    val out = Vector.newBuilder[(String, String)]
+    relations.zipWithIndex.foreach { case (rel, i) =>
+      val cids = rel.columns.map(NodeNames.cid(i + 1, _))
+      rel.rids.indices.foreach { r =>
+        val rid = NodeNames.rid(rel.rids(r))
+        val row = rel.cells(r)
+        cids.indices.foreach { j =>
+          Tokenization.tokens(row(j), strategy, sigFigs).foreach { tok =>
+            out += ((tok, rid)); out += ((tok, cids(j)))
+          }
+        }
+      }
+    }
+    out.result()
+  }
+
+  /** The CSR graph of `relations`. */
+  def build(relations: Seq[Relation], strategy: Tokenization.Strategy,
+            sigFigs: Int): CompactGraph =
+    CompactGraph.build(pairs(relations, strategy, sigFigs))
+
+  /** Deduplicated edge list of `datasets`, columns `src` (token) and `dst`
+    * (RID or CID). */
   def edges(spark: SparkSession, datasets: Seq[DataFrame],
             strategy: Tokenization.Strategy, sigFigs: Int = 4): DataFrame = {
     import spark.implicits._
-    val perDataset = datasets.zipWithIndex.map { case (df, i) =>
-      val dataCols = df.columns.filterNot(_ == "__rid").toSeq
-      val cids = dataCols.map(NodeNames.cid(i + 1, _))
-      // One pass over the rows: each token of each cell yields both its edges.
-      df.select($"__rid".cast("long") +: dataCols.map(c => col(c).cast("string")): _*)
-        .flatMap { row =>
-          val rid = NodeNames.rid(row.getLong(0))
-          cids.indices.flatMap { j =>
-            Tokenization.tokens(row.getString(j + 1), strategy, sigFigs)
-              .flatMap(tok => Seq((tok, rid), (tok, cids(j))))
-          }
-        }
-        .toDF("src", "dst")
-    }
-    perDataset.reduce(_ union _).distinct()
+    pairs(datasets.map(Relation.read), strategy, sigFigs).distinct.toDF("src", "dst")
   }
 }

@@ -7,7 +7,7 @@ import repro.data.{AttrKind, Scenario, Scenarios}
 import repro.integration._
 
 /** Shared machinery behind the per-table bench suites and the
-  * `jobs/Table*Job` spark-submit entrypoints: one lazily-trained bundle of
+  * `TableJob <1-6|tm>` spark-submit entrypoint: one lazily-trained bundle of
   * scenario + models per dataset shorthand, plus one row function per table
   * of §7 (computation and rendering) that both of them call. All parameters
   * come from [[Bench.Params]]; seeds are fixed so repeated runs agree.

@@ -1,7 +1,7 @@
 package repro.eval
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{EmbeddingModel, Tokenization}
+import repro.core.{EmbeddingModel, Relation, Tokenization}
 
 import scala.util.Random
 
@@ -29,21 +29,14 @@ object QualityTests {
   )
 
   def tokenize(df: DataFrame, strategy: Tokenization.Strategy): Tokenized = {
-    val dataCols = df.columns.filterNot(_ == "__rid").toSeq
-    val rows = df.collect()
-    val cells = rows.map { r =>
-      dataCols.flatMap { c =>
-        Option(r.getAs[Any](c)).flatMap(v => Tokenization.normalize(v.toString)).map(c -> _)
-      }.toMap
+    val rel = Relation.read(df)
+    val cells = rel.cells.map { row =>
+      rel.columns.indices.flatMap(j => Tokenization.normalize(row(j)).map(rel.columns(j) -> _)).toMap
     }.toIndexedSeq
-    val rowToks = rows.map { r =>
-      dataCols.flatMap { c =>
-        Option(r.getAs[Any](c)).toSeq.flatMap(v => Tokenization.tokens(v.toString, strategy))
-      }.distinct.toIndexedSeq
-    }.toIndexedSeq
-    val domains = dataCols.map { c =>
-      c -> rows.flatMap(r => Option(r.getAs[Any](c)))
-        .flatMap(v => Tokenization.tokens(v.toString, strategy)).distinct.toIndexedSeq
+    val rowToks = rel.cells.map(_.toIndexedSeq.flatMap(Tokenization.tokens(_, strategy)).distinct)
+      .toIndexedSeq
+    val domains = rel.columns.map { c =>
+      c -> rel.values(c).flatMap(Tokenization.tokens(_, strategy)).distinct.toIndexedSeq
     }.toMap
     Tokenized(domains, rowToks, cells)
   }

@@ -1,7 +1,7 @@
 package repro.integration
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{EmbeddingModel, NearestNeighbors, NodeNames, Tokenization}
+import repro.core.{EmbeddingModel, NearestNeighbors, NodeNames, Relation, Tokenization}
 
 import scala.collection.mutable
 
@@ -95,12 +95,9 @@ object SchemaMatcher {
   def matchBase(spark: SparkSession, d1: DataFrame, d2: DataFrame,
                 maxIterations: Int = 2): Seq[(String, String)] = {
     def tokenSets(df: DataFrame): Map[String, Set[String]] = {
-      val dataCols = df.columns.filterNot(_ == "__rid").toSeq
-      val collected = df.select(dataCols.map(org.apache.spark.sql.functions.col): _*).collect()
-      dataCols.zipWithIndex.map { case (c, i) =>
-        c -> collected.flatMap(r => Option(r.get(i)))
-          .flatMap(v => Tokenization.tokens(v.toString, Tokenization.Flatten))
-          .toSet
+      val rel = Relation.read(df)
+      rel.columns.map { c =>
+        c -> rel.values(c).flatMap(Tokenization.tokens(_, Tokenization.Flatten)).toSet
       }.toMap
     }
     val t1 = tokenSets(d1); val t2 = tokenSets(d2)

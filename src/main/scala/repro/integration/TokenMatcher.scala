@@ -1,7 +1,7 @@
 package repro.integration
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{EmbeddingModel, NearestNeighbors, Tokenization}
+import repro.core.{EmbeddingModel, NearestNeighbors, Relation, Tokenization}
 
 /** Token Matching (§6/§7.2): given two *aligned* attributes, find pairs of
   * tokens that are conceptual synonyms ("Denmark" ↔ "DK"). For a token from
@@ -13,12 +13,11 @@ import repro.core.{EmbeddingModel, NearestNeighbors, Tokenization}
   */
 object TokenMatcher {
 
-  /** Distinct normalized tokens of one column. */
+  /** Distinct whole-cell token names of one column, sorted: the graph's
+    * names, so an escaped cell such as `idx__5` is `tok__idx__5`. */
   def domain(df: DataFrame, column: String): Seq[String] =
-    df.select(column).collect()
-      .flatMap(r => Option(r.get(0)))
-      .flatMap(v => Tokenization.normalize(v.toString))
-      .distinct.sorted.toSeq
+    Relation.read(df).values(column).flatMap(Tokenization.tokens(_, Tokenization.Simple))
+      .distinct.sorted
 
   /** Embedding-based matching: each dom1 token with a vector → its nearest
     * dom2 token other than itself (ties: the earlier in dom2). */

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{SparkSpec, TestFixtures}
+import repro.{SparkJobs, SparkSpec, TestFixtures}
 import repro.data.Scenarios
 
 class EmbDISpec extends SparkSpec {
@@ -90,11 +90,23 @@ class EmbDISpec extends SparkSpec {
 
   test("duplicate __rid across datasets is rejected, naming the ids") {
     import spark.implicits._
-    // Two rows with one id would silently merge into one RID node.
-    val d1 = Seq((0L, "a"), (1L, "b")).toDF("__rid", "x")
-    val d2 = Seq((0L, "a"), (7L, "c")).toDF("__rid", "y")
+    // Two rows with one id would silently merge into one RID node; a row
+    // with no id has no RID node at all.
+    val d1 = Seq((Some(0L), "a"), (Some(1L), "b"), (None, "d")).toDF("__rid", "x")
+    val d2 = Seq((Some(0L), "a"), (Some(7L), "c")).toDF("__rid", "y")
     val e = intercept[IllegalArgumentException](
       EmbDI.run(spark, Seq(d1, d2), TestFixtures.testConfig(Tokenization.Simple)))
     assert(e.getMessage.contains("__rid") && e.getMessage.contains("e.g. 0"), e.getMessage)
+    assert(e.getMessage.contains("2 rows repeat an id (or have none)"), e.getMessage)
+    val onlyNull = Seq((Some(1L), "b"), (None, "d")).toDF("__rid", "x")
+    val e2 = intercept[IllegalArgumentException](
+      EmbDI.run(spark, Seq(onlyNull), TestFixtures.testConfig(Tokenization.Simple)))
+    assert(e2.getMessage.contains("1 rows repeat an id (or have none)"), e2.getMessage)
+  }
+
+  test("EmbDI.run reads each dataset in one Spark job and shuffles nothing") {
+    val counts = SparkJobs.count(spark)(
+      EmbDI.run(spark, Seq(scenario.d1, scenario.d2), TestFixtures.testConfig()))
+    assert(counts == SparkJobs.Counts(jobs = 2, shuffleWriteBytes = 0L), counts)
   }
 }

@@ -3,18 +3,18 @@ package repro.core
 import java.util.concurrent.ConcurrentLinkedQueue
 
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.execution.{QueryExecution, SparkPlan, UnionExec}
+import org.apache.spark.sql.execution.{LocalTableScanExec, QueryExecution, SparkPlan, UnionExec}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.functions.{col, lit}
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.QueryExecutionListener
-import repro.{SparkSpec, TestFixtures}
+import repro.{SparkJobs, SparkSpec, TestFixtures}
 
 import scala.jdk.CollectionConverters._
 
-/** The one-scan melt behind [[Tokenization]] and [[TripartiteGraph.edges]]:
-  * the same sets as a per-column `select` + `union` melt (kept here as the
-  * reference), and plans that read each input once.
+/** The one-job [[Relation]] read behind [[Tokenization]] and
+  * [[TripartiteGraph]]: the same sets as a per-column `select` + `union` melt
+  * (kept here as the reference), and one job and one scan per input.
   */
 class MeltSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
@@ -141,23 +141,31 @@ class MeltSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     seen.asScala.toSeq.filterNot(_.output.exists(_.name == "marker"))
   }
 
-  /** One scan per input dataset and no union beyond one input per dataset. */
-  private def assertOneScanPerInput(what: String, nInputs: Int)(body: => Unit): Unit = {
-    val plans = executedPlans(body)
-    assert(plans.nonEmpty, what)
-    plans.foreach { p =>
-      assert(leaves(p) == nInputs, s"$what: ${leaves(p)} scans for $nInputs inputs\n$p")
-      assert(unionInputs(p) <= (if (nInputs > 1) nInputs else 0), s"$what: per-column union\n$p")
+  /** One Spark job and one scan per input read, and no per-column union: the
+    * executed plans that read an input (every plan not over local driver
+    * data) are one per input, each with one leaf and no union. */
+  private def assertOneReadPerInput(what: String, nInputs: Int)(body: => Unit): Unit = {
+    var jobs = -1
+    val plans = executedPlans { jobs = SparkJobs.count(spark)(body).jobs }
+    val reads = plans.filterNot(p => collectLeaves(p).forall(_.isInstanceOf[LocalTableScanExec]))
+    assert(jobs == nInputs, s"$what: $jobs Spark jobs for $nInputs inputs")
+    assert(reads.size == nInputs, s"$what: ${reads.size} input reads for $nInputs inputs\n" +
+      reads.mkString("\n"))
+    reads.foreach { p =>
+      assert(leaves(p) == 1, s"$what: ${leaves(p)} scans in one read\n$p")
+      assert(unionInputs(p) == 0, s"$what: per-column union\n$p")
     }
   }
 
   test("each cell-reading function scans every input once, with no per-column union") {
-    assertOneScanPerInput("edges of one dataset", 1)(
+    assertOneReadPerInput("Relation.read", 1)(Relation.read(d1))
+    assertOneReadPerInput("edges of one dataset", 1)(
       TripartiteGraph.edges(spark, Seq(d1), Tokenization.Flatten).collect())
-    assertOneScanPerInput("edges of two datasets", 2)(
+    assertOneReadPerInput("edges of two datasets", 2)(
       TripartiteGraph.edges(spark, Seq(d1, d2), Tokenization.Flatten).collect())
-    assertOneScanPerInput("distinctValues", 1)(Tokenization.distinctValues(spark, d1).collect())
-    assertOneScanPerInput("sharedValues", 2)(Tokenization.sharedValues(spark, d1, d2))
-    assertOneScanPerInput("sharedTokens", 2)(Tokenization.sharedTokens(spark, d1, d2, Tokenization.Flatten))
+    assertOneReadPerInput("distinctValues", 1)(Tokenization.distinctValues(spark, d1).collect())
+    assertOneReadPerInput("sharedValues", 2)(Tokenization.sharedValues(spark, d1, d2))
+    assertOneReadPerInput("sharedTokens", 2)(
+      Tokenization.sharedTokens(spark, d1, d2, Tokenization.Flatten))
   }
 }

@@ -66,7 +66,8 @@ class TokenizationSpec extends SparkSpec {
 
   test("whole-cell tokens that look like node names are escaped injectively") {
     val cells = Seq("idx__0", "cid__1__a", "tok__idx__0", "tok__x", "x", "idx_0")
-    Seq(Simple, Overlap(cells.toSet)).foreach { st =>
+    // Overlap's shared set holds token names, as sharedValues returns them.
+    Seq(Simple, Overlap(cells.flatMap(tokens(_, Simple)).toSet)).foreach { st =>
       val toks = cells.map(tokens(_, st))
       assert(toks == Seq(Seq("tok__idx__0"), Seq("tok__cid__1__a"), Seq("tok__tok__idx__0"),
         Seq("tok__tok__x"), Seq("x"), Seq("idx_0")))
@@ -145,5 +146,21 @@ class TokenizationSpec extends SparkSpec {
       .toDF("__rid", "a", "b")
     val vals = Tokenization.distinctValues(spark, d).collect().map(_.getString(0)).toSet
     assert(vals == Set("x", "y"))
+  }
+
+  test("a shared cell that looks like a RID is a walk start and in its column's domain") {
+    import spark.implicits._
+    // The cell idx__5 is the graph token tok__idx__5 (never RID 5), and every
+    // set of names derived from cells must use that name.
+    val d1 = Seq((0L, "idx__5", "apple pie"), (1L, "x", "plum")).toDF("__rid", "code", "food")
+    val d2 = Seq((2L, "idx__5", "apple"), (3L, "y", "plum")).toDF("__rid", "ref", "dish")
+    val shared = sharedValues(spark, d1, d2)
+    assert(shared == Set("tok__idx__5", "plum"))
+    val starts = shared ++ sharedTokens(spark, d1, d2, Flatten)
+    val g = CompactGraph.fromEdges(TripartiteGraph.edges(spark, Seq(d1, d2), Overlap(shared)))
+    val startNames = RandomWalker.startNodes(g, RandomWalker.OverlapTokens(starts)).map(g.names)
+    assert(startNames.contains("tok__idx__5"), startNames.mkString(", "))
+    assert(g.nodeIdsOfType(1).length == 4)
+    assert(repro.integration.TokenMatcher.domain(d1, "code") == Seq("tok__idx__5", "x"))
   }
 }
