@@ -41,21 +41,9 @@ object DeepER {
     val rel = Relation.read(df)
     val js = cols.map(rel.columnIndex)
     rel.rids.indices.map { r =>
-      val attrVecs = js.map { j =>
-        val vs = Tokenization.tokens(rel.cells(r)(j), strategy).flatMap(model.vector)
-        if (vs.isEmpty) new Array[Float](dim)
-        else {
-          val acc = new Array[Float](dim)
-          vs.foreach { v => var i = 0; while (i < dim) { acc(i) += v(i); i += 1 } }
-          EmbeddingModel.normalize(acc)
-        }
-      }.toArray
-      val tup = {
-        val acc = new Array[Float](dim)
-        attrVecs.foreach { v => var i = 0; while (i < dim) { acc(i) += v(i); i += 1 } }
-        EmbeddingModel.normalize(acc)
-      }
-      rel.rids(r) -> (attrVecs, tup)
+      val attrVecs = js.map(j => EmbeddingModel.normalizedSum(
+        Tokenization.tokens(rel.cells(r)(j), strategy).flatMap(model.vector), dim)).toArray
+      rel.rids(r) -> (attrVecs, EmbeddingModel.normalizedSum(attrVecs, dim))
     }.toMap
   }
 

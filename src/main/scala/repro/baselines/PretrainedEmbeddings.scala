@@ -32,25 +32,14 @@ object PretrainedEmbeddings {
   private def wordVector(word: String, dim: Int): Array[Float] = {
     val padded = s"<$word>"
     val grams = (3 to 5).flatMap(n => padded.sliding(n).toSeq) :+ padded
-    val acc = new Array[Float](dim)
-    grams.foreach { g =>
-      val v = gramVector(g, dim)
-      var i = 0; while (i < dim) { acc(i) += v(i); i += 1 }
-    }
-    EmbeddingModel.normalize(acc)
+    EmbeddingModel.normalizedSum(grams.view.map(gramVector(_, dim)), dim)
   }
 
   /** Vector of an arbitrary token; multi-word tokens (joined by '_') are the
     * average of their word vectors. Never OOV — like fastText. */
   def tokenVector(token: String, dim: Int = DefaultDim): Array[Float] = {
     val words = token.split('_').filter(_.nonEmpty)
-    if (words.isEmpty) return new Array[Float](dim)
-    val acc = new Array[Float](dim)
-    words.foreach { w =>
-      val v = wordVector(w, dim)
-      var i = 0; while (i < dim) { acc(i) += v(i); i += 1 }
-    }
-    EmbeddingModel.normalize(acc)
+    EmbeddingModel.normalizedSum(words.view.map(wordVector(_, dim)), dim)
   }
 
   /** Materialise a model over all tokens of the datasets plus composed

@@ -24,12 +24,6 @@ object Seep {
 
   final case class Signature(label: Array[Float], centroid: Array[Float])
 
-  private def centroid(vectors: Seq[Array[Float]], dim: Int): Array[Float] = {
-    val acc = new Array[Float](dim)
-    vectors.foreach { v => var i = 0; while (i < dim) { acc(i) += v(i); i += 1 } }
-    EmbeddingModel.normalize(acc)
-  }
-
   /** Per data column of `df` (read once), its signature. */
   private def signatures(df: DataFrame)(sig: (String, Seq[String]) => Signature)
       : Seq[(String, Signature)] = {
@@ -45,8 +39,7 @@ object Seep {
       Signature(
         label = PretrainedEmbeddings.tokenVector(c.toLowerCase, dim),
         centroid =
-          if (toks.isEmpty) new Array[Float](dim)
-          else centroid(toks.map(PretrainedEmbeddings.tokenVector(_, dim)), dim))
+          EmbeddingModel.normalizedSum(toks.map(PretrainedEmbeddings.tokenVector(_, dim)), dim))
     }
     matchBySignatures(signatures(d1)(sig), signatures(d2)(sig), labelWeight)
   }
@@ -58,7 +51,7 @@ object Seep {
     val dim = model.dim
     def sig(dsIdx: Int)(c: String, values: Seq[String]): Signature = {
       val toks = values.flatMap(v => Tokenization.tokens(v, strategy)).distinct
-      val cen = centroid(toks.flatMap(model.vector), dim)
+      val cen = EmbeddingModel.normalizedSum(toks.flatMap(model.vector), dim)
       val cid = model.vector(NodeNames.cid(dsIdx, c)).getOrElse(cen)
       Signature(label = cid, centroid = cen)
     }

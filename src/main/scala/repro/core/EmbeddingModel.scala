@@ -33,12 +33,7 @@ final class EmbeddingModel(
     * None if no word is in vocabulary. */
   def meanVector(ws: Seq[String]): Option[Array[Float]] = {
     val vs = ws.flatMap(vector)
-    if (vs.isEmpty) None
-    else {
-      val m = new Array[Float](dim)
-      vs.foreach { v => var i = 0; while (i < m.length) { m(i) += v(i); i += 1 } }
-      Some(EmbeddingModel.normalize(m))
-    }
+    Option.when(vs.nonEmpty)(EmbeddingModel.normalizedSum(vs, dim))
   }
 
   /** gensim `doesnt_match`: the input word with the lowest cosine to the
@@ -64,6 +59,13 @@ object EmbeddingModel {
   def normalize(v: Array[Float]): Array[Float] = {
     val n = math.sqrt(dot(v, v))
     if (n == 0) v else v.map(x => (x / n).toFloat)
+  }
+
+  /** The sum of `vs` (each `dim` long), normalized; zeros if `vs` is empty. */
+  def normalizedSum(vs: Iterable[Array[Float]], dim: Int): Array[Float] = {
+    val acc = new Array[Float](dim)
+    vs.foreach { v => var i = 0; while (i < dim) { acc(i) += v(i); i += 1 } }
+    normalize(acc)
   }
 
   /** Build from raw (unnormalized) vectors. */

@@ -5,22 +5,15 @@ import org.apache.spark.sql.functions.col
 
 /** One dataset's cells on the driver: its data column names, the `__rid` of
   * every row and every cell as a string (NULL cells kept as `null`), in row
-  * order. This is the only place that reads a dataset's cells; graph
-  * construction, every cell statistic and every baseline work from it.
-  *
-  * Rows whose `__rid` is NULL are not kept: they have no RID node. They are
-  * counted in `nullRids`, so that [[EmbDI]] can reject them with the
-  * duplicate ids.
+  * order. It is the only reader of a dataset's cells: graph construction,
+  * every cell statistic and every baseline work from it. Rows whose `__rid`
+  * is NULL have no RID node; they are left out and counted in `nullRids`,
+  * so that [[EmbDI]] can reject them.
   */
-final class Relation(
-    val columns: IndexedSeq[String],
-    val rids: Array[Long],
-    val cells: Array[Array[String]],
-    val nullRids: Int,
-) {
+final class Relation(val columns: IndexedSeq[String], val rids: Array[Long],
+                     val cells: Array[Array[String]], val nullRids: Int) {
   def nRows: Int = rids.length
 
-  /** Index of a data column. */
   def columnIndex(column: String): Int = {
     val j = columns.indexOf(column)
     require(j >= 0, s"no column '$column' (columns: ${columns.mkString(", ")})")
@@ -39,8 +32,8 @@ final class Relation(
 
 object Relation {
 
-  /** Read `df` (a `__rid` column plus data columns) in one Spark job: one
-    * projection of `__rid` as long and every data column cast to string. */
+  /** Read `df` in one Spark job: `__rid` as long and every data column cast
+    * to string, in one projection. */
   def read(df: DataFrame): Relation = {
     val columns = df.columns.filterNot(_ == "__rid").toIndexedSeq
     val all = df.select(col("__rid").cast("long") +: columns.map(c => col(c).cast("string")): _*)

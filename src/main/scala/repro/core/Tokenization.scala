@@ -67,10 +67,6 @@ object Tokenization {
   def values(rel: Relation, sigFigs: Int): Set[String] =
     rel.allCells.flatMap(normalize(_, sigFigs)).toSet
 
-  /** Token node names of every cell of `rel` under `strategy`. */
-  def tokenNames(rel: Relation, strategy: Strategy, sigFigs: Int): Set[String] =
-    rel.allCells.flatMap(tokens(_, strategy, sigFigs)).toSet
-
   /** Whole-cell values occurring in both relations, as token names (escaped
     * like [[tokens]] does) — the EmbDI-O bridge set, part of the §5.1 start
     * set and the overlap statistic of Table 1. */
@@ -79,8 +75,10 @@ object Tokenization {
 
   /** Token names (under `strategy`) occurring in both relations — the walk
     * start set of the §5.1 overlap heuristic. */
-  def sharedTokens(r1: Relation, r2: Relation, strategy: Strategy, sigFigs: Int): Set[String] =
-    tokenNames(r1, strategy, sigFigs).intersect(tokenNames(r2, strategy, sigFigs))
+  def sharedTokens(r1: Relation, r2: Relation, strategy: Strategy, sigFigs: Int): Set[String] = {
+    def names(rel: Relation) = rel.allCells.flatMap(tokens(_, strategy, sigFigs)).toSet
+    names(r1).intersect(names(r2))
+  }
 
   /** [[sharedValues]] of two datasets, each read once. */
   def sharedValues(spark: SparkSession, d1: DataFrame, d2: DataFrame,

@@ -40,14 +40,9 @@ object TripartiteGraph {
     val out = Vector.newBuilder[(String, String)]
     relations.zipWithIndex.foreach { case (rel, i) =>
       val cids = rel.columns.map(NodeNames.cid(i + 1, _))
-      rel.rids.indices.foreach { r =>
-        val rid = NodeNames.rid(rel.rids(r))
-        val row = rel.cells(r)
-        cids.indices.foreach { j =>
-          Tokenization.tokens(row(j), strategy, sigFigs).foreach { tok =>
-            out += ((tok, rid)); out += ((tok, cids(j)))
-          }
-        }
+      for (r <- rel.rids.indices; rid = NodeNames.rid(rel.rids(r)); j <- cids.indices;
+           tok <- Tokenization.tokens(rel.cells(r)(j), strategy, sigFigs)) {
+        out += ((tok, rid)); out += ((tok, cids(j)))
       }
     }
     out.result()
