@@ -35,12 +35,15 @@ object EmbDI {
   }
 
   /** Resolve an `Overlap` strategy that was constructed with an empty shared
-    * set by computing the shared values of the first two relations. */
-  private def resolveStrategy(relations: Seq[Relation], strategy: Tokenization.Strategy,
+    * set by computing the shared values of the first two relations (read
+    * only then). */
+  private def resolveStrategy(relations: => Seq[Relation], strategy: Tokenization.Strategy,
                               sigFigs: Int): Tokenization.Strategy =
     strategy match {
-      case Tokenization.Overlap(s) if s.isEmpty && relations.size >= 2 =>
-        Tokenization.Overlap(Tokenization.sharedValues(relations(0), relations(1), sigFigs))
+      case Tokenization.Overlap(s) if s.isEmpty => relations match {
+        case r1 +: r2 +: _ => Tokenization.Overlap(Tokenization.sharedValues(r1, r2, sigFigs))
+        case _ => strategy
+      }
       case other => other
     }
 
