@@ -36,10 +36,9 @@ object BasicEmbeddings {
     * column domain, opened by its CID. */
   private[repro] def corpus(datasets: Seq[DataFrame], cfg: Config): Array[Array[String]] = {
     val relations = datasets.map(Relation.read)
-    def tokens(cell: String): Seq[String] = Tokenization.tokens(cell, cfg.strategy)
-
     val rows = relations.flatMap { rel =>
-      rel.rids.indices.map(r => (rel.rids(r), rel.cells(r).toSeq.flatMap(tokens)))
+      rel.rids.indices.map(r =>
+        (rel.rids(r), rel.cells(r).toSeq.flatMap(Tokenization.tokens(_, cfg.strategy))))
     }.filter(_._2.nonEmpty)
     val nRows = math.max(1L, rows.size.toLong)
     val avgRowLen = math.max(2.0, rows.map(_._2.size + 1L).sum / nRows.toDouble)
@@ -55,8 +54,8 @@ object BasicEmbeddings {
 
     // Attribute domains: distinct tokens of each column, in row order.
     val domains = relations.zipWithIndex.flatMap { case (rel, i) =>
-      rel.columns.map(c =>
-        NodeNames.cid(i + 1, c) -> rel.values(c).flatMap(tokens).distinct.toIndexedSeq)
+      Tokenization.columnTokens(rel, cfg.strategy)
+        .map { case (c, dom) => NodeNames.cid(i + 1, c) -> dom }
     }.filter(_._2.nonEmpty)
     val attrBudgetTokens = cfg.corpusTokens - rowBudgetTokens
     val perAttr = math.max(1L,

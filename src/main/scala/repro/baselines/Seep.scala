@@ -24,24 +24,22 @@ object Seep {
 
   final case class Signature(label: Array[Float], centroid: Array[Float])
 
-  /** Per data column of `df` (read once), its signature. */
-  private def signatures(df: DataFrame)(sig: (String, Seq[String]) => Signature)
-      : Seq[(String, Signature)] = {
-    val rel = Relation.read(df)
-    rel.columns.map(c => c -> sig(c, rel.values(c)))
-  }
+  /** Per data column of `df` (read once), its signature from its distinct
+    * tokens under `strategy`. */
+  private def signatures(df: DataFrame, strategy: Tokenization.Strategy)(
+      sig: (String, Seq[String]) => Signature): Seq[(String, Signature)] =
+    Tokenization.columnTokens(Relation.read(df), strategy).map { case (c, t) => c -> sig(c, t) }
 
   /** SeepP: pre-trained vectors for labels and instance tokens. */
   def runPretrained(d1: DataFrame, d2: DataFrame, labelWeight: Double = 0.5,
                     dim: Int = PretrainedEmbeddings.DefaultDim): Seq[(String, String)] = {
-    def sig(c: String, values: Seq[String]): Signature = {
-      val toks = values.flatMap(v => Tokenization.tokens(v, Tokenization.Flatten)).distinct
+    def sig(c: String, toks: Seq[String]): Signature =
       Signature(
         label = PretrainedEmbeddings.tokenVector(c.toLowerCase, dim),
         centroid =
           EmbeddingModel.normalizedSum(toks.map(PretrainedEmbeddings.tokenVector(_, dim)), dim))
-    }
-    matchBySignatures(signatures(d1)(sig), signatures(d2)(sig), labelWeight)
+    matchBySignatures(signatures(d1, Tokenization.Flatten)(sig),
+      signatures(d2, Tokenization.Flatten)(sig), labelWeight)
   }
 
   /** SeepL: EmbDI local embeddings — CID vector (if learned) blended with
@@ -49,13 +47,13 @@ object Seep {
   def runLocal(d1: DataFrame, d2: DataFrame, model: EmbeddingModel,
                strategy: Tokenization.Strategy): Seq[(String, String)] = {
     val dim = model.dim
-    def sig(dsIdx: Int)(c: String, values: Seq[String]): Signature = {
-      val toks = values.flatMap(v => Tokenization.tokens(v, strategy)).distinct
+    def sig(dsIdx: Int)(c: String, toks: Seq[String]): Signature = {
       val cen = EmbeddingModel.normalizedSum(toks.flatMap(model.vector), dim)
       val cid = model.vector(NodeNames.cid(dsIdx, c)).getOrElse(cen)
       Signature(label = cid, centroid = cen)
     }
-    matchBySignatures(signatures(d1)(sig(1)), signatures(d2)(sig(2)), labelWeight = 0.5)
+    matchBySignatures(signatures(d1, strategy)(sig(1)), signatures(d2, strategy)(sig(2)),
+      labelWeight = 0.5)
   }
 
   /** Minimum combined similarity for a candidate pair to be considered at

@@ -39,7 +39,7 @@ object Relation {
     val all = df.select(col("__rid").cast("long") +: columns.map(c => col(c).cast("string")): _*)
       .collect()
     val rows = all.filterNot(_.isNullAt(0))
-    new Relation(columns, rows.map(_.getLong(0)),
-      rows.map(r => Array.tabulate(columns.size)(j => r.getString(j + 1))), all.length - rows.length)
+    val cells = rows.map(r => Array.tabulate(columns.size)(j => r.getString(j + 1)))
+    new Relation(columns, rows.map(_.getLong(0)), cells, all.length - rows.length)
   }
 }

@@ -67,6 +67,11 @@ object Tokenization {
   def values(rel: Relation, sigFigs: Int): Set[String] =
     rel.allCells.flatMap(normalize(_, sigFigs)).toSet
 
+  /** Per data column of `rel`, its distinct token names under `strategy`, in
+    * row order: the attribute domains of the baselines and quality tests. */
+  def columnTokens(rel: Relation, strategy: Strategy): Seq[(String, IndexedSeq[String])] =
+    rel.columns.map(c => c -> rel.values(c).flatMap(tokens(_, strategy)).distinct.toIndexedSeq)
+
   /** Whole-cell values occurring in both relations, as token names (escaped
     * like [[tokens]] does) — the EmbDI-O bridge set, part of the §5.1 start
     * set and the overlap statistic of Table 1. */

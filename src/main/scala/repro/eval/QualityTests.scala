@@ -31,14 +31,12 @@ object QualityTests {
   def tokenize(df: DataFrame, strategy: Tokenization.Strategy): Tokenized = {
     val rel = Relation.read(df)
     val cells = rel.cells.map { row =>
-      rel.columns.indices.flatMap(j => Tokenization.normalize(row(j)).map(rel.columns(j) -> _)).toMap
+      rel.columns.indices.flatMap(j => Tokenization.normalize(row(j)).map(rel.columns(j) -> _))
+        .toMap
     }.toIndexedSeq
     val rowToks = rel.cells.map(_.toIndexedSeq.flatMap(Tokenization.tokens(_, strategy)).distinct)
       .toIndexedSeq
-    val domains = rel.columns.map { c =>
-      c -> rel.values(c).flatMap(Tokenization.tokens(_, strategy)).distinct.toIndexedSeq
-    }.toMap
-    Tokenized(domains, rowToks, cells)
+    Tokenized(Tokenization.columnTokens(rel, strategy).toMap, rowToks, cells)
   }
 
   private def sampleDistinct(rng: Random, pool: IndexedSeq[String], n: Int,

@@ -94,12 +94,9 @@ object SchemaMatcher {
     * mutual-matching loop. No embeddings involved. */
   def matchBase(spark: SparkSession, d1: DataFrame, d2: DataFrame,
                 maxIterations: Int = 2): Seq[(String, String)] = {
-    def tokenSets(df: DataFrame): Map[String, Set[String]] = {
-      val rel = Relation.read(df)
-      rel.columns.map { c =>
-        c -> rel.values(c).flatMap(Tokenization.tokens(_, Tokenization.Flatten)).toSet
-      }.toMap
-    }
+    def tokenSets(df: DataFrame): Map[String, Set[String]] =
+      Tokenization.columnTokens(Relation.read(df), Tokenization.Flatten)
+        .map { case (c, toks) => c -> toks.toSet }.toMap
     val t1 = tokenSets(d1); val t2 = tokenSets(d2)
     val sims = (for {
       (c1, s1) <- t1.toSeq; (c2, s2) <- t2.toSeq

@@ -3,7 +3,8 @@ package repro
 import java.util.concurrent.ConcurrentHashMap
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart, SparkListenerTaskEnd}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart,
+  SparkListenerTaskEnd}
 import org.apache.spark.sql.SparkSession
 
 /** Spark jobs and shuffle bytes of one block of driver code, counted by a
