@@ -47,7 +47,8 @@ object EmbDI {
       case other => other
     }
 
-  /** [[resolveStrategy]] over datasets, each read once. */
+  /** [[resolveStrategy]] over datasets, each read once if the shared set is
+    * needed. */
   def resolveStrategy(spark: SparkSession, datasets: Seq[DataFrame],
                       strategy: Tokenization.Strategy, sigFigs: Int): Tokenization.Strategy =
     resolveStrategy(datasets.map(Relation.read), strategy, sigFigs)
