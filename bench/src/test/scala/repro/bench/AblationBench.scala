@@ -21,7 +21,7 @@ import repro.integration.{EntityResolver, Metrics, SchemaMatcher}
 class AblationBench extends SparkSpec {
 
   private def smF(b: Bench.Bundle, model: EmbeddingModel): Double =
-    Bench.smScore(spark, b, model).f1
+    Bench.smScore(b, model).f1
 
   test("Ablation: walk length for SM on DS") {
     BenchOut.reset("ablation")
@@ -29,8 +29,7 @@ class AblationBench extends SparkSpec {
     val f60 = smF(b, b.embdiO.model)
     val byLen = Seq(5, 3).map { len =>
       val cfg = Bench.embdiConfig(Tokenization.Overlap(b.shared))
-      val res = EmbDI.run(spark, b.datasets,
-        cfg.copy(walk = cfg.walk.copy(walkLength = len)))
+      val res = EmbDI.run(b.relations, cfg.copy(walk = cfg.walk.copy(walkLength = len)))
       len -> smF(b, res.model)
     }.toMap
     BenchOut.emit("ablation", f"walklen DS SM: len60=$f60%.2f len5=${byLen(5)}%.2f len3=${byLen(3)}%.2f")
@@ -39,10 +38,10 @@ class AblationBench extends SparkSpec {
 
   test("Ablation: word2vec window size on DA") {
     val b = Bench.bundle(spark, "DA")
-    val q3 = Bench.scoreQuality(b.embdiO.model, Bench.qualityTests(spark, "DA", 200))
+    val q3 = Bench.scoreQuality(b.embdiO.model, Bench.qualityTests(b, 200))
     val cfg = Bench.embdiConfig(Tokenization.Overlap(b.shared))
-    val res5 = EmbDI.run(spark, b.datasets, cfg.copy(w2v = cfg.w2v.copy(window = 5)))
-    val q5 = Bench.scoreQuality(res5.model, Bench.qualityTests(spark, "DA", 200))
+    val res5 = EmbDI.run(b.relations, cfg.copy(w2v = cfg.w2v.copy(window = 5)))
+    val q5 = Bench.scoreQuality(res5.model, Bench.qualityTests(b, 200))
     BenchOut.emit("ablation", f"window DA EQ: w3 ${q3.render} | w5 ${q5.render}")
     // paper: window 5 is not better; allow noise
     assert(q5.avg <= q3.avg + 0.1, s"window 5 unexpectedly better: ${q5.avg} vs ${q3.avg}")
@@ -57,8 +56,7 @@ class AblationBench extends SparkSpec {
         Seq(code -> (full, 0.5), full -> (code, 0.5))
       }
     val cfg = Bench.embdiConfig(Tokenization.Overlap(b.shared))
-    val res = EmbDI.run(spark, b.datasets,
-      cfg.copy(walk = cfg.walk.copy(replacements = repl)))
+    val res = EmbDI.run(b.relations, cfg.copy(walk = cfg.walk.copy(replacements = repl)))
     val withDict = Bench.erScore(spark, b, res.model).f1
     BenchOut.emit("ablation", f"replacement IM ER: base=$base%.3f dict=$withDict%.3f")
     // Report-only tolerance: at bench corpus scale the 0.5-probability
@@ -76,8 +74,8 @@ class AblationBench extends SparkSpec {
       EntityResolver.ridsIn(b.embdiO.model, b.ridRange2._1, b.ridRange2._2))
     // per-relation trainings (each indexes itself as dataset 1)
     val cfg = Bench.embdiConfig(Tokenization.Flatten)
-    val mA = EmbDI.run(spark, Seq(b.scenario.d1), cfg).model
-    val mB = EmbDI.run(spark, Seq(b.scenario.d2), cfg).model
+    val mA = EmbDI.run(Seq(b.relations(0)), cfg).model
+    val mB = EmbDI.run(Seq(b.relations(1)), cfg).model
     val tokenAnchors = b.shared.toSeq.sorted
       .filter(t => mA.contains(t) && mB.contains(t)).map(t => (t, t))
     val ridAnchors = candidates.filter { case (r1, r2) => mA.contains(r1) && mB.contains(r2) }
@@ -111,9 +109,10 @@ class AblationBench extends SparkSpec {
             Seq("release_year"))
           (f1, f2)
         }
-      val shared = Tokenization.sharedValues(spark, e1, e2)
-      val res = EmbDI.run(spark, Seq(e1, e2),
-        Bench.embdiConfig(Tokenization.Overlap(shared)))
+      // Each NULL-injected table is read once.
+      val Seq(r1, r2) = Seq(e1, e2).map(Relation.read)
+      val res = EmbDI.run(Seq(r1, r2),
+        Bench.embdiConfig(Tokenization.Overlap(Tokenization.sharedValues(r1, r2, sigFigs = 4))))
       // ER under the GT-query protocol of Tables 4 and 5; the NULL
       // injection keeps every RID, so b0's ground truth and ranges apply.
       Bench.erScore(spark, b0, res.model).f1

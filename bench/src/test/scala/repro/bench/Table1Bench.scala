@@ -15,7 +15,7 @@ class Table1Bench extends SparkSpec {
       f"${"DS"}%-4s ${"tuples"}%8s ${"cols"}%4s ${"distinct"}%9s " +
       f"${"matches"}%8s ${"sentences"}%10s ${"overlap%"}%7s")
     Scenarios.allConfigs.foreach { cfg =>
-      val row = Bench.table1Row(spark, cfg.shorthand)
+      val row = Bench.table1Row(Bench.bundle(spark, cfg.shorthand))
       BenchOut.emit("table1", row.render)
       assert(row.tuples > 0 && row.distinctValues > 0 && row.sentences > 0)
       if (!cfg.singleTable) {

@@ -14,13 +14,14 @@ class Table2Bench extends SparkSpec {
     BenchOut.reset("table2")
     val perScenarioAvg = scala.collection.mutable.Map.empty[String, Map[String, Double]]
     Scenarios.allConfigs.foreach { cfg =>
-      val rows = Bench.table2Rows(spark, cfg.shorthand)
+      val rows = Bench.table2Rows(Bench.bundle(spark, cfg.shorthand))
       rows.foreach(r => BenchOut.emit("table2", r.render))
       perScenarioAvg(cfg.shorthand) = rows.map(r => r.method -> r.scores.avg).toMap
     }
     // pre-trained footnote (§7.1 reports BB .33 and AG .16 averages)
     Seq("BB", "AG").foreach { s =>
-      val q = Bench.scoreQuality(Bench.bundle(spark, s).pretrained, Bench.qualityTests(spark, s))
+      val b = Bench.bundle(spark, s)
+      val q = Bench.scoreQuality(b.pretrained, Bench.qualityTests(b))
       BenchOut.emit("table2", Bench.QualityRow(s, "Pretrain", q).render)
     }
     // shape: EmbDI wins (or ties within noise) on the cross-scenario mean

@@ -13,7 +13,7 @@ class Table3Bench extends SparkSpec {
   test("Table 3: schema matching across methods") {
     BenchOut.reset("table3")
     val rows = Scenarios.integrationConfigs.map { cfg =>
-      val row = Bench.table3Row(spark, cfg.shorthand)
+      val row = Bench.table3Row(Bench.bundle(spark, cfg.shorthand))
       BenchOut.emit("table3", row.render)
       row.scores.toMap
     }

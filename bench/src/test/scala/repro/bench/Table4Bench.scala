@@ -15,7 +15,7 @@ class Table4Bench extends SparkSpec {
   test("Table 4: entity resolution across methods") {
     BenchOut.reset("table4")
     val rows = Scenarios.integrationConfigs.map { cfg =>
-      val row = Bench.table4Row(spark, cfg.shorthand)
+      val row = Bench.table4Row(spark, Bench.bundle(spark, cfg.shorthand))
       BenchOut.emit("table4", row.render)
       row.scores.toMap
     }

@@ -13,7 +13,7 @@ class Table5Bench extends SparkSpec {
   test("Table 5: n_top precision/recall trade-off") {
     BenchOut.reset("table5")
     val byScenario = scenarios.map { s =>
-      val rows = Bench.table5Rows(spark, s)
+      val rows = Bench.table5Rows(spark, Bench.bundle(spark, s))
       rows.foreach(r => BenchOut.emit("table5", r.render))
       s -> rows.map(r => r.nTop -> r.prf).toMap
     }.toMap

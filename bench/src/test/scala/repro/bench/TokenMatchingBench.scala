@@ -12,7 +12,7 @@ class TokenMatchingBench extends SparkSpec {
 
   test("Token matching on IM country and language columns") {
     BenchOut.reset("tokenmatching")
-    Bench.tokenMatchingRows(spark).foreach { r =>
+    Bench.tokenMatchingRows(Bench.bundle(spark, "IM")).foreach { r =>
       BenchOut.emit("tokenmatching", r.render)
       assert(r.embdi >= r.jaccard - 0.02, s"${r.col1}: EmbDI ${r.embdi} below Jaccard ${r.jaccard}")
     }

@@ -23,22 +23,22 @@ private object JobUtil {
 object TableJob {
 
   /** A table's valid scenarios, those it runs when none are named, and its
-    * rows for one scenario. */
+    * rows for one scenario's bundle. */
   private final case class Table(known: Seq[String], default: Seq[String],
-                                 rows: (SparkSession, String) => Seq[String])
+                                 rows: (SparkSession, Bench.Bundle) => Seq[String])
 
   private val all = Scenarios.allConfigs.map(_.shorthand)
   private val pairs = Scenarios.integrationConfigs.map(_.shorthand)
 
   private val tables: ListMap[String, Table] = ListMap(
-    "1" -> Table(all, all, (s, d) => Seq(Bench.table1Row(s, d).render)),
-    "2" -> Table(all, all, (s, d) => Bench.table2Rows(s, d).map(_.render)),
-    "3" -> Table(pairs, pairs, (s, d) => Seq(Bench.table3Row(s, d).render)),
-    "4" -> Table(pairs, pairs, (s, d) => Seq(Bench.table4Row(s, d).render)),
-    "5" -> Table(pairs, Bench.table5Scenarios, (s, d) => Bench.table5Rows(s, d).map(_.render)),
-    "6" -> Table(all, all, (s, d) => Seq(Bench.timingRow(s, d).render)),
+    "1" -> Table(all, all, (_, b) => Seq(Bench.table1Row(b).render)),
+    "2" -> Table(all, all, (_, b) => Bench.table2Rows(b).map(_.render)),
+    "3" -> Table(pairs, pairs, (_, b) => Seq(Bench.table3Row(b).render)),
+    "4" -> Table(pairs, pairs, (s, b) => Seq(Bench.table4Row(s, b).render)),
+    "5" -> Table(pairs, Bench.table5Scenarios, (s, b) => Bench.table5Rows(s, b).map(_.render)),
+    "6" -> Table(all, all, (_, b) => Seq(Bench.timingRow(b).render)),
     // §7.2 token matching runs on the IM pair only.
-    "tm" -> Table(Seq("IM"), Seq("IM"), (s, _) => Bench.tokenMatchingRows(s).map(_.render)),
+    "tm" -> Table(Seq("IM"), Seq("IM"), (_, b) => Bench.tokenMatchingRows(b).map(_.render)),
   )
 
   /** The table and the scenarios to run, or why the arguments are rejected. */
@@ -55,7 +55,7 @@ object TableJob {
     case Left(message) => System.err.println(message); sys.exit(2)
     case Right((t, scenarios)) =>
       val spark = JobUtil.session(s"table$t")
-      scenarios.foreach(d => tables(t).rows(spark, d).foreach(println))
+      scenarios.foreach(d => tables(t).rows(spark, Bench.bundle(spark, d)).foreach(println))
       spark.stop()
   }
 }

@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
 import repro.core.{EmbeddingModel, EmbeddingTrainer, NodeNames, Rand, Relation, Tokenization}
 
 /** The `Basic` baseline of §7: no graph — sentences are (a) permutations of
@@ -26,16 +25,15 @@ object BasicEmbeddings {
       seed: Long = 7777L,
   )
 
-  /** Train Basic embeddings over the datasets (each with global `__rid`). */
-  def train(datasets: Seq[DataFrame], cfg: Config): EmbeddingModel =
-    EmbeddingTrainer.train(corpus(datasets, cfg), cfg.w2v)
+  /** Train Basic embeddings over the relations (each with global `__rid`s). */
+  def train(relations: Seq[Relation], cfg: Config): EmbeddingModel =
+    EmbeddingTrainer.train(corpus(relations, cfg), cfg.w2v)
 
-  /** Basic's sentences, built on the driver from one read per dataset:
+  /** Basic's sentences, built on the driver from the relations:
     * `permsPerRow` shuffles of each non-empty row's tokens, opened by its RID
     * (the rows of D1, then of D2), then `perAttr` samples of each non-empty
     * column domain, opened by its CID. */
-  private[repro] def corpus(datasets: Seq[DataFrame], cfg: Config): Array[Array[String]] = {
-    val relations = datasets.map(Relation.read)
+  private[repro] def corpus(relations: Seq[Relation], cfg: Config): Array[Array[String]] = {
     val rows = relations.flatMap { rel =>
       rel.rids.indices.map(r =>
         (rel.rids(r), rel.cells(r).toSeq.flatMap(Tokenization.tokens(_, cfg.strategy))))

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.ml.classification.LogisticRegression
 import org.apache.spark.ml.linalg.Vectors
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core.{EmbeddingModel, Relation, Tokenization}
 import repro.integration.{Metrics, PRF}
 
@@ -34,11 +34,10 @@ object DeepER {
   )
 
   /** Per-rid attribute vectors + tuple vector from token embeddings. */
-  private def tupleVectors(df: DataFrame, cols: Seq[String], model: EmbeddingModel,
+  private def tupleVectors(rel: Relation, cols: Seq[String], model: EmbeddingModel,
                            strategy: Tokenization.Strategy)
       : Map[Long, (Array[Array[Float]], Array[Float])] = {
     val dim = model.dim
-    val rel = Relation.read(df)
     val js = cols.map(rel.columnIndex)
     rel.rids.indices.map { r =>
       val attrVecs = js.map(j => EmbeddingModel.normalizedSum(
@@ -65,13 +64,13 @@ object DeepER {
     * labeled `candidatePairs` of the benchmark (the Magellan protocol:
     * classify blocking candidates). Returns the PRF over the ground-truth
     * pairs not used for training. */
-  def run(spark: SparkSession, d1: DataFrame, d2: DataFrame,
+  def run(spark: SparkSession, r1: Relation, r2: Relation,
           alignedCols: Seq[(String, String)], model: EmbeddingModel,
           strategy: Tokenization.Strategy, groundTruth: Set[(Long, Long)],
           candidatePairs: Seq[(Long, Long, Boolean)], cfg: Config = Config()): PRF = {
     val rng = new Random(cfg.seed)
-    val v1 = tupleVectors(d1, alignedCols.map(_._1), model, strategy)
-    val v2 = tupleVectors(d2, alignedCols.map(_._2), model, strategy)
+    val v1 = tupleVectors(r1, alignedCols.map(_._1), model, strategy)
+    val v2 = tupleVectors(r2, alignedCols.map(_._2), model, strategy)
     val candidates: Set[(Long, Long)] = candidatePairs.map(p => (p._1, p._2)).toSet
 
     // Label split: labelFraction of GT positives (+ negatives) for training.

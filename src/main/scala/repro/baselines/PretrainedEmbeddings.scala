@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
 import repro.core.{EmbeddingModel, NodeNames, Relation, Tokenization}
 
 import scala.util.Random
@@ -42,13 +41,13 @@ object PretrainedEmbeddings {
     EmbeddingModel.normalizedSum(words.view.map(wordVector(_, dim)), dim)
   }
 
-  /** Materialise a model over all tokens of the datasets plus composed
+  /** Materialise a model over all tokens of the relations plus composed
     * RID/CID vectors, so the unsupervised SM/ER algorithms can run on the
     * "pre-trained" space unchanged. */
-  def forDatasets(datasets: Seq[DataFrame], strategy: Tokenization.Strategy,
+  def forDatasets(relations: Seq[Relation], strategy: Tokenization.Strategy,
                   dim: Int = DefaultDim): EmbeddingModel = {
     val entries = scala.collection.mutable.LinkedHashMap.empty[String, Array[Float]]
-    datasets.map(Relation.read).zipWithIndex.foreach { case (rel, i) =>
+    relations.zipWithIndex.foreach { case (rel, i) =>
       val colAcc = rel.columns.map(_ => new Array[Float](dim))
       rel.rids.indices.foreach { r =>
         val rowAcc = new Array[Float](dim)

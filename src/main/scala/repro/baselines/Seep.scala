@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
 import repro.core.{EmbeddingModel, NodeNames, Relation, Tokenization}
 import repro.integration.SchemaMatcher
 
@@ -24,27 +23,27 @@ object Seep {
 
   final case class Signature(label: Array[Float], centroid: Array[Float])
 
-  /** Per data column of `df` (read once), its signature from its distinct
-    * tokens under `strategy`. */
-  private def signatures(df: DataFrame, strategy: Tokenization.Strategy)(
+  /** Per data column of `rel`, its signature from its distinct tokens under
+    * `strategy`. */
+  private def signatures(rel: Relation, strategy: Tokenization.Strategy)(
       sig: (String, Seq[String]) => Signature): Seq[(String, Signature)] =
-    Tokenization.columnTokens(Relation.read(df), strategy).map { case (c, t) => c -> sig(c, t) }
+    Tokenization.columnTokens(rel, strategy).map { case (c, t) => c -> sig(c, t) }
 
   /** SeepP: pre-trained vectors for labels and instance tokens. */
-  def runPretrained(d1: DataFrame, d2: DataFrame, labelWeight: Double = 0.5,
+  def runPretrained(r1: Relation, r2: Relation, labelWeight: Double = 0.5,
                     dim: Int = PretrainedEmbeddings.DefaultDim): Seq[(String, String)] = {
     def sig(c: String, toks: Seq[String]): Signature =
       Signature(
         label = PretrainedEmbeddings.tokenVector(c.toLowerCase, dim),
         centroid =
           EmbeddingModel.normalizedSum(toks.map(PretrainedEmbeddings.tokenVector(_, dim)), dim))
-    matchBySignatures(signatures(d1, Tokenization.Flatten)(sig),
-      signatures(d2, Tokenization.Flatten)(sig), labelWeight)
+    matchBySignatures(signatures(r1, Tokenization.Flatten)(sig),
+      signatures(r2, Tokenization.Flatten)(sig), labelWeight)
   }
 
   /** SeepL: EmbDI local embeddings — CID vector (if learned) blended with
     * the instance centroid; labels carry no signal in a local space. */
-  def runLocal(d1: DataFrame, d2: DataFrame, model: EmbeddingModel,
+  def runLocal(r1: Relation, r2: Relation, model: EmbeddingModel,
                strategy: Tokenization.Strategy): Seq[(String, String)] = {
     val dim = model.dim
     def sig(dsIdx: Int)(c: String, toks: Seq[String]): Signature = {
@@ -52,7 +51,7 @@ object Seep {
       val cid = model.vector(NodeNames.cid(dsIdx, c)).getOrElse(cen)
       Signature(label = cid, centroid = cen)
     }
-    matchBySignatures(signatures(d1, strategy)(sig(1)), signatures(d2, strategy)(sig(2)),
+    matchBySignatures(signatures(r1, strategy)(sig(1)), signatures(r2, strategy)(sig(2)),
       labelWeight = 0.5)
   }
 

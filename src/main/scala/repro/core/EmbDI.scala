@@ -64,17 +64,21 @@ object EmbDI {
         s"an id (or have none), e.g. ${repeats.map(rids).distinct.take(5).mkString(", ")}")
   }
 
-  /** Run the full pipeline over one or more datasets (each with a globally
-    * unique `__rid` column). Each dataset is read once; the graph, the `__rid`
-    * check and the corpus-size statistics all come from that read. */
-  def run(spark: SparkSession, datasets: Seq[DataFrame], cfg: Config = Config()): Result = {
-    require(datasets.nonEmpty)
+  /** [[run]] over datasets (each with a globally unique `__rid` column),
+    * each read once. */
+  def run(spark: SparkSession, datasets: Seq[DataFrame], cfg: Config = Config()): Result =
+    run(datasets.map(Relation.read), cfg)
 
-    val ((relations, graph), graphMs) = timed {
-      val relations = datasets.map(Relation.read)
+  /** Run the full pipeline over one or more relations. The graph, the `__rid`
+    * check and the corpus-size statistics all come from them; G times
+    * tokenization, graph and CSR, not the reads. */
+  def run(relations: Seq[Relation], cfg: Config): Result = {
+    require(relations.nonEmpty)
+
+    val (graph, graphMs) = timed {
       requireUniqueRids(relations)
-      val strategy = resolveStrategy(relations, cfg.strategy, cfg.sigFigs)
-      (relations, TripartiteGraph.build(relations, strategy, cfg.sigFigs))
+      TripartiteGraph.build(relations, resolveStrategy(relations, cfg.strategy, cfg.sigFigs),
+        cfg.sigFigs)
     }
 
     // Input statistics for the corpus-size rule, from the relations above.

@@ -9,8 +9,9 @@ import repro.integration._
 /** Shared machinery behind the per-table bench suites and the
   * `TableJob <1-6|tm>` spark-submit entrypoint: one lazily-trained bundle of
   * scenario + models per dataset shorthand, plus one row function per table
-  * of §7 (computation and rendering) that both of them call. All parameters
-  * come from [[Bench.Params]]; seeds are fixed so repeated runs agree.
+  * of §7 (computation and rendering) over a bundle that both of them call.
+  * All parameters come from [[Bench.Params]]; seeds are fixed so repeated
+  * runs agree.
   */
 object Bench {
 
@@ -54,30 +55,36 @@ object Bench {
       corpusFactor = p.corpusFactor,
     )
 
-  /** All models for one scenario, trained on demand and cached. */
-  final class Bundle(val spark: SparkSession, val scenario: Scenario) {
+  /** All models for one scenario, trained on demand and cached. The
+    * scenario's tables are read once, into [[relations]]; every model,
+    * baseline and test set below works from those. */
+  final class Bundle(val scenario: Scenario) {
     private val cfg = scenario.config
-    def datasets = if (cfg.singleTable) Seq(scenario.d1) else Seq(scenario.d1, scenario.d2)
+    def shorthand: String = cfg.shorthand
+
+    /** d1, and d2 for a dataset pair, each read once. */
+    lazy val relations: Seq[Relation] =
+      (if (cfg.singleTable) Seq(scenario.d1) else Seq(scenario.d1, scenario.d2)).map(Relation.read)
 
     lazy val shared: Set[String] =
       if (cfg.singleTable) Set.empty
-      else Tokenization.sharedValues(spark, scenario.d1, scenario.d2)
+      else Tokenization.sharedValues(relations(0), relations(1), sigFigs = 4)
 
     /** Word-level shared tokens (bridge set under Flatten tokenization). */
     lazy val sharedWords: Set[String] =
       if (cfg.singleTable) Set.empty
-      else Tokenization.sharedTokens(spark, scenario.d1, scenario.d2, Tokenization.Flatten)
+      else Tokenization.sharedTokens(relations(0), relations(1), Tokenization.Flatten, sigFigs = 4)
 
     /** The default EmbDI configuration (EmbDI-O tokenization, §5.1
       * overlap-start on for dataset pairs). */
     lazy val embdiO: EmbDI.Result =
-      EmbDI.run(spark, datasets, embdiConfig(Tokenization.Overlap(shared),
+      EmbDI.run(relations, embdiConfig(Tokenization.Overlap(shared),
         overlapStart = if (cfg.singleTable) None else Some(shared ++ sharedWords)))
     lazy val embdiS: EmbDI.Result =
-      EmbDI.run(spark, datasets, embdiConfig(Tokenization.Simple,
+      EmbDI.run(relations, embdiConfig(Tokenization.Simple,
         overlapStart = if (cfg.singleTable) None else Some(shared)))
     lazy val embdiF: EmbDI.Result =
-      EmbDI.run(spark, datasets, embdiConfig(Tokenization.Flatten,
+      EmbDI.run(relations, embdiConfig(Tokenization.Flatten,
         overlapStart = if (cfg.singleTable) None else Some(sharedWords)))
 
     private lazy val corpusTokens: Long =
@@ -85,7 +92,7 @@ object Bench {
         scenario.nRows1 + scenario.nRows2, params.corpusFactor)
 
     lazy val basic: EmbeddingModel =
-      BasicEmbeddings.train(datasets, BasicEmbeddings.Config(
+      BasicEmbeddings.train(relations, BasicEmbeddings.Config(
         corpusTokens = corpusTokens, strategy = Tokenization.Overlap(shared),
         w2v = w2v(), seed = params.seed))
 
@@ -100,7 +107,7 @@ object Bench {
         w2v = w2v(), seed = params.seed))
 
     lazy val pretrained: EmbeddingModel =
-      PretrainedEmbeddings.forDatasets(datasets, Tokenization.Overlap(shared), params.dim)
+      PretrainedEmbeddings.forDatasets(relations, Tokenization.Overlap(shared), params.dim)
 
     def ridRange1: (Long, Long) = (0L, scenario.nRows1)
     def ridRange2: (Long, Long) = (scenario.nRows1, scenario.nRows1 + scenario.nRows2)
@@ -112,7 +119,7 @@ object Bench {
 
   def bundle(spark: SparkSession, shorthand: String): Bundle = synchronized {
     cache.getOrElseUpdate(shorthand.toUpperCase,
-      new Bundle(spark, Scenarios.generate(spark, Scenarios.byShorthand(shorthand))))
+      new Bundle(Scenarios.generate(spark, Scenarios.byShorthand(shorthand))))
   }
 
   // ----------------------------------------------------------------- Table 1
@@ -125,8 +132,7 @@ object Bench {
       f"${matches}%8d ${sentences}%10d ${overlapPct}%7.2f"
   }
 
-  def table1Row(spark: SparkSession, shorthand: String): Table1Row = {
-    val b = bundle(spark, shorthand)
+  def table1Row(b: Bundle): Table1Row = {
     val sc = b.scenario
     val distinct = b.embdiO.nDistinctValues
     val overlap =
@@ -136,8 +142,8 @@ object Bench {
     val nCols =
       if (sc.config.singleTable) sc.columns1.size
       else sc.columns1.size + sc.columns2.size - sc.colMatches.size
-    Table1Row(shorthand, sc.nRows1 + sc.nRows2, nCols,
-      distinct, sc.rowMatches.count(), b.embdiO.nSentences, overlap)
+    Table1Row(b.shorthand, sc.nRows1 + sc.nRows2, nCols,
+      distinct, b.groundTruth.size, b.embdiO.nSentences, overlap)
   }
 
   // ----------------------------------------------------------------- Table 2
@@ -155,11 +161,9 @@ object Bench {
 
   /** MA/MR/MC test sets for a scenario under its default (Overlap)
     * tokenization, shared by all methods for fairness. */
-  def qualityTests(spark: SparkSession, shorthand: String, nPerKind: Int = 300)
-      : Map[String, Seq[QualityTests.QTest]] = {
-    val b = bundle(spark, shorthand)
+  def qualityTests(b: Bundle, nPerKind: Int = 300): Map[String, Seq[QualityTests.QTest]] = {
     val strat = Tokenization.Overlap(b.shared)
-    val data = b.datasets.map(QualityTests.tokenize(_, strat))
+    val data = b.relations.map(QualityTests.tokenize(_, strat))
     val cfg = b.scenario.config
     val oneCols = cfg.columns.filter(_.kind == AttrKind.Maker)
       .flatMap(c => Seq(c.nameIn1, c.nameIn2)).toSet
@@ -185,12 +189,11 @@ object Bench {
 
   /** Table 2 rows of one scenario: Basic, Node2Vec, Harp and EmbDI scored
     * on the same test sets. */
-  def table2Rows(spark: SparkSession, shorthand: String): Seq[QualityRow] = {
-    val b = bundle(spark, shorthand)
-    val tests = qualityTests(spark, shorthand)
+  def table2Rows(b: Bundle): Seq[QualityRow] = {
+    val tests = qualityTests(b)
     Seq("Basic" -> b.basic, "Node2Vec" -> b.node2vec.model, "Harp" -> b.harp.model,
         "EmbDI" -> b.embdiO.model)
-      .map { case (method, model) => QualityRow(shorthand, method, scoreQuality(model, tests)) }
+      .map { case (method, model) => QualityRow(b.shorthand, method, scoreQuality(model, tests)) }
   }
 
   // ----------------------------------------------------------------- Table 3
@@ -202,37 +205,35 @@ object Bench {
   }
 
   /** Schema-matching F for one method's embeddings via Algorithm 5. */
-  def smScore(spark: SparkSession, b: Bundle, model: EmbeddingModel): PRF = {
+  def smScore(b: Bundle, model: EmbeddingModel): PRF = {
     val got = SchemaMatcher.toColumnPairs(SchemaMatcher.matchCids(model,
       b.scenario.columns1.map(NodeNames.cid(1, _)),
       b.scenario.columns2.map(NodeNames.cid(2, _)))).toSet
     Metrics.prf(got, b.scenario.colMatches.toSet)
   }
 
-  def smBase(spark: SparkSession, b: Bundle): PRF =
-    Metrics.prf(SchemaMatcher.matchBase(spark, b.scenario.d1, b.scenario.d2).toSet,
+  def smBase(b: Bundle): PRF =
+    Metrics.prf(SchemaMatcher.matchBase(b.relations(0), b.relations(1)).toSet,
       b.scenario.colMatches.toSet)
 
   def smSeepP(b: Bundle): PRF =
-    Metrics.prf(Seep.runPretrained(b.scenario.d1, b.scenario.d2).toSet,
+    Metrics.prf(Seep.runPretrained(b.relations(0), b.relations(1)).toSet,
       b.scenario.colMatches.toSet)
 
   def smSeepL(b: Bundle): PRF =
-    Metrics.prf(Seep.runLocal(b.scenario.d1, b.scenario.d2, b.embdiO.model,
+    Metrics.prf(Seep.runLocal(b.relations(0), b.relations(1), b.embdiO.model,
       Tokenization.Overlap(b.shared)).toSet,
       b.scenario.colMatches.toSet)
 
-  def table3Row(spark: SparkSession, shorthand: String): FRow = {
-    val b = bundle(spark, shorthand)
-    FRow(shorthand, Seq(
-      "Base"     -> smBase(spark, b).f1,
-      "EmbDI"    -> smScore(spark, b, b.embdiO.model).f1,
-      "Node2Vec" -> smScore(spark, b, b.node2vec.model).f1,
-      "Harp"     -> smScore(spark, b, b.harp.model).f1,
+  def table3Row(b: Bundle): FRow =
+    FRow(b.shorthand, Seq(
+      "Base"     -> smBase(b).f1,
+      "EmbDI"    -> smScore(b, b.embdiO.model).f1,
+      "Node2Vec" -> smScore(b, b.node2vec.model).f1,
+      "Harp"     -> smScore(b, b.harp.model).f1,
       "SeepP"    -> smSeepP(b).f1,
       "SeepL"    -> smSeepL(b).f1,
     ))
-  }
 
   // ----------------------------------------------------------------- Table 4
 
@@ -255,16 +256,15 @@ object Bench {
   def deepEr(spark: SparkSession, b: Bundle, model: EmbeddingModel,
              strategy: Tokenization.Strategy, tuned: Boolean,
              labelFraction: Double = 0.05): PRF =
-    DeepER.run(spark, b.scenario.d1, b.scenario.d2, b.scenario.colMatches, model,
+    DeepER.run(spark, b.relations(0), b.relations(1), b.scenario.colMatches, model,
       strategy, b.groundTruth, b.scenario.candidates,
       DeepER.Config(labelFraction = labelFraction, tuned = tuned, seed = params.seed))
 
   /** Table 4: unsupervised ER (Algorithm 6, n_top = 10) per embedding,
     * then supervised DeepER with pre-trained vs EmbDI embeddings. */
-  def table4Row(spark: SparkSession, shorthand: String): FRow = {
-    val b = bundle(spark, shorthand)
+  def table4Row(spark: SparkSession, b: Bundle): FRow = {
     val strat = Tokenization.Overlap(b.shared)
-    FRow(shorthand, Seq(
+    FRow(b.shorthand, Seq(
       "fastText" -> erScore(spark, b, b.pretrained).f1,
       "EmbDI-S"  -> erScore(spark, b, b.embdiS.model).f1,
       "EmbDI-F"  -> erScore(spark, b, b.embdiF.model).f1,
@@ -287,10 +287,9 @@ object Bench {
     def render: String = f"$shorthand%-4s ntop=$nTop%-4d $prf"
   }
 
-  def table5Rows(spark: SparkSession, shorthand: String): Seq[NTopRow] = {
-    val b = bundle(spark, shorthand)
-    Seq(1, 5, 10, 100).map(k => NTopRow(shorthand, k, erScore(spark, b, b.embdiO.model, nTop = k)))
-  }
+  def table5Rows(spark: SparkSession, b: Bundle): Seq[NTopRow] =
+    Seq(1, 5, 10, 100).map(k =>
+      NTopRow(b.shorthand, k, erScore(spark, b, b.embdiO.model, nTop = k)))
 
   // -------------------------------------------------------- token matching
 
@@ -305,11 +304,10 @@ object Bench {
     * same entities in different formats. View 2 mixes codes and full names,
     * so the ground truth is restricted to tokens that actually occur and
     * predictions to tokens in the ground truth. */
-  def tokenMatchingRows(spark: SparkSession): Seq[TokenMatchRow] = {
-    val b = bundle(spark, "IM")
+  def tokenMatchingRows(b: Bundle): Seq[TokenMatchRow] =
     b.scenario.tokenMatchGt.map { case ((c1, c2), gtAll) =>
-      val dom1 = TokenMatcher.domain(b.scenario.d1, c1)
-      val dom2 = TokenMatcher.domain(b.scenario.d2, c2)
+      val dom1 = TokenMatcher.domain(b.relations(0), c1)
+      val dom2 = TokenMatcher.domain(b.relations(1), c2)
       val gt = gtAll.filter { case (f, c) => dom1.contains(f) && dom2.contains(c) }
       val inGt = gt.map(_._1).toSet
       def f1(pred: Seq[(String, String)]) = TokenMatcher.score(pred.filter(p => inGt(p._1)), gt).f1
@@ -317,7 +315,6 @@ object Bench {
         f1(TokenMatcher.matchByJaccard(dom1, dom2)),
         f1(TokenMatcher.matchByEmbedding(b.embdiO.model, dom1, dom2)), gt.size)
     }.toSeq
-  }
 
   // ----------------------------------------------------------------- Table 6
 
@@ -329,10 +326,9 @@ object Bench {
       f"N2V=${n2vMs / 1000.0}%8.1f HARP=${harpMs / 1000.0}%8.1f"
   }
 
-  def timingRow(spark: SparkSession, shorthand: String): TimingRow = {
-    val b = bundle(spark, shorthand)
+  def timingRow(b: Bundle): TimingRow = {
     val t = b.embdiO.timings
-    TimingRow(shorthand, t.graphMs, t.walkMs, t.trainMs,
+    TimingRow(b.shorthand, t.graphMs, t.walkMs, t.trainMs,
       b.node2vec.walkMs + b.node2vec.trainMs,
       b.harp.walkMs + b.harp.trainMs)
   }

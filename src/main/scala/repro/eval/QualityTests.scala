@@ -28,8 +28,7 @@ object QualityTests {
       cells: IndexedSeq[Map[String, String]],
   )
 
-  def tokenize(df: DataFrame, strategy: Tokenization.Strategy): Tokenized = {
-    val rel = Relation.read(df)
+  def tokenize(rel: Relation, strategy: Tokenization.Strategy): Tokenized = {
     val cells = rel.cells.map { row =>
       rel.columns.indices.flatMap(j => Tokenization.normalize(row(j)).map(rel.columns(j) -> _))
         .toMap
@@ -38,6 +37,10 @@ object QualityTests {
       .toIndexedSeq
     Tokenized(Tokenization.columnTokens(rel, strategy).toMap, rowToks, cells)
   }
+
+  /** [[tokenize]] of a dataset, read once. */
+  def tokenize(df: DataFrame, strategy: Tokenization.Strategy): Tokenized =
+    tokenize(Relation.read(df), strategy)
 
   private def sampleDistinct(rng: Random, pool: IndexedSeq[String], n: Int,
                              not: Set[String] = Set.empty): Option[Seq[String]] = {

@@ -1,6 +1,5 @@
 package repro.integration
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{EmbeddingModel, NearestNeighbors, NodeNames, Relation, Tokenization}
 
 import scala.collection.mutable
@@ -92,12 +91,11 @@ object SchemaMatcher {
   /** The `Base` schema matcher of Table 3: columns as bags of words, matched
     * by Jaccard overlap of their normalized token sets, then the same
     * mutual-matching loop. No embeddings involved. */
-  def matchBase(spark: SparkSession, d1: DataFrame, d2: DataFrame,
-                maxIterations: Int = 2): Seq[(String, String)] = {
-    def tokenSets(df: DataFrame): Map[String, Set[String]] =
-      Tokenization.columnTokens(Relation.read(df), Tokenization.Flatten)
+  def matchBase(r1: Relation, r2: Relation, maxIterations: Int = 2): Seq[(String, String)] = {
+    def tokenSets(rel: Relation): Map[String, Set[String]] =
+      Tokenization.columnTokens(rel, Tokenization.Flatten)
         .map { case (c, toks) => c -> toks.toSet }.toMap
-    val t1 = tokenSets(d1); val t2 = tokenSets(d2)
+    val t1 = tokenSets(r1); val t2 = tokenSets(r2)
     val sims = (for {
       (c1, s1) <- t1.toSeq; (c2, s2) <- t2.toSeq
       j = if (s1.isEmpty && s2.isEmpty) 0.0

@@ -15,9 +15,11 @@ object TokenMatcher {
 
   /** Distinct whole-cell token names of one column, sorted: the graph's
     * names, so an escaped cell such as `idx__5` is `tok__idx__5`. */
-  def domain(df: DataFrame, column: String): Seq[String] =
-    Relation.read(df).values(column).flatMap(Tokenization.tokens(_, Tokenization.Simple))
-      .distinct.sorted
+  def domain(rel: Relation, column: String): Seq[String] =
+    rel.values(column).flatMap(Tokenization.tokens(_, Tokenization.Simple)).distinct.sorted
+
+  /** [[domain]] of a dataset, read once. */
+  def domain(df: DataFrame, column: String): Seq[String] = domain(Relation.read(df), column)
 
   /** Embedding-based matching: each dom1 token with a vector → its nearest
     * dom2 token other than itself (ties: the earlier in dom2). */

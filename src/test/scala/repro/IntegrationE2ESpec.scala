@@ -10,6 +10,7 @@ import repro.integration.{EntityResolver, Metrics, SchemaMatcher, TokenMatcher}
 class IntegrationE2ESpec extends SparkSpec {
 
   private lazy val sc = TestFixtures.tiny
+  private lazy val Seq(r1, r2) = TestFixtures.tinyRelations
   private lazy val model = TestFixtures.tinyEmbDI.model
 
   test("unsupervised SM (Algorithm 5) recovers most column matches") {
@@ -29,7 +30,7 @@ class IntegrationE2ESpec extends SparkSpec {
   }
 
   test("ER with pre-trained stand-in is worse than EmbDI (Table 4 shape)") {
-    val pre = baselines.PretrainedEmbeddings.forDatasets(Seq(sc.d1, sc.d2), Tokenization.Flatten)
+    val pre = baselines.PretrainedEmbeddings.forDatasets(Seq(r1, r2), Tokenization.Flatten)
     val n1 = sc.nRows1
     val gt = sc.rowMatches.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     val fPre = EntityResolver.resolveAndScore(spark, pre, (0L, n1), (n1, n1 + sc.nRows2), gt)._2.f1
@@ -43,8 +44,8 @@ class IntegrationE2ESpec extends SparkSpec {
 
   test("token matching finds country code synonyms better than trigram Jaccard") {
     val (c1, c2) = ("country", "country_code")
-    val dom1 = TokenMatcher.domain(sc.d1, c1)
-    val dom2 = TokenMatcher.domain(sc.d2, c2)
+    val dom1 = TokenMatcher.domain(r1, c1)
+    val dom2 = TokenMatcher.domain(r2, c2)
     val gt = sc.tokenMatchGt((c1, c2)).filter { case (full, code) =>
       dom1.contains(full) && dom2.contains(code)
     }
@@ -63,8 +64,8 @@ class IntegrationE2ESpec extends SparkSpec {
     // and verify the rotation moves ground-truth CID pairs closer — the
     // property the §7.3 alignment refinement exploits.
     val cfgA = TestFixtures.testConfig(Tokenization.Flatten)
-    val mA = EmbDI.run(spark, Seq(sc.d1), cfgA).model
-    val mB = EmbDI.run(spark, Seq(sc.d2), cfgA).model
+    val mA = EmbDI.run(Seq(r1), cfgA).model
+    val mB = EmbDI.run(Seq(r2), cfgA).model
     // Anchor on shared tokens only; ground-truth CID pairs stay out of the
     // anchor set so they can serve as the measurement. NB: a model trained
     // on d2 alone indexes it as dataset 1, so its CIDs are cid(1, <d2 col>);

@@ -15,6 +15,9 @@ object TestFixtures {
   /** Tiny scenario used by every end-to-end suite. */
   lazy val tiny: Scenario = Scenarios.generate(spark, Scenarios.tiny)
 
+  /** The tiny scenario's two tables, each read once. */
+  lazy val tinyRelations: Seq[Relation] = Seq(tiny.d1, tiny.d2).map(Relation.read)
+
   /** Default test-scale EmbDI configuration: small dims, modest corpus. */
   def testConfig(strategy: Tokenization.Strategy = Tokenization.Overlap(Set.empty)): EmbDI.Config =
     EmbDI.Config(
@@ -25,10 +28,9 @@ object TestFixtures {
     )
 
   /** EmbDI trained once on the tiny scenario (Overlap tokenization). */
-  lazy val tinyEmbDI: EmbDI.Result =
-    EmbDI.run(spark, Seq(tiny.d1, tiny.d2), testConfig())
+  lazy val tinyEmbDI: EmbDI.Result = EmbDI.run(tinyRelations, testConfig())
 
   /** Shared whole-cell values of the tiny scenario. */
   lazy val tinyShared: Set[String] =
-    Tokenization.sharedValues(spark, tiny.d1, tiny.d2)
+    Tokenization.sharedValues(tinyRelations(0), tinyRelations(1), sigFigs = 4)
 }

@@ -5,8 +5,7 @@ import repro.core.{EmbeddingTrainer, NodeNames, Tokenization}
 
 class BasicEmbeddingsSpec extends SparkSpec {
 
-  private lazy val model = BasicEmbeddings.train(
-    Seq(TestFixtures.tiny.d1, TestFixtures.tiny.d2),
+  private lazy val model = BasicEmbeddings.train(TestFixtures.tinyRelations,
     BasicEmbeddings.Config(
       corpusTokens = 150000,
       strategy = Tokenization.Flatten,

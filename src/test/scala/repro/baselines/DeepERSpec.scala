@@ -6,6 +6,7 @@ import repro.core.Tokenization
 class DeepERSpec extends SparkSpec {
 
   private lazy val sc = TestFixtures.tiny
+  private lazy val Seq(r1, r2) = TestFixtures.tinyRelations
   private lazy val gt: Set[(Long, Long)] =
     sc.rowMatches.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
 
@@ -15,7 +16,7 @@ class DeepERSpec extends SparkSpec {
   // (10 positives) and keep a 5 % smoke run; the bench uses 5 % on the
   // full-size scenarios as in Table 4.
   private def runL(fraction: Double, tuned: Boolean = false) =
-    DeepER.run(spark, sc.d1, sc.d2, sc.colMatches,
+    DeepER.run(spark, r1, r2, sc.colMatches,
       TestFixtures.tinyEmbDI.model, Tokenization.Overlap(TestFixtures.tinyShared), gt,
       sc.candidates, DeepER.Config(labelFraction = fraction, tuned = tuned))
 
@@ -30,8 +31,8 @@ class DeepERSpec extends SparkSpec {
   }
 
   test("DeepER with pre-trained embeddings runs end to end") {
-    val pre = PretrainedEmbeddings.forDatasets(Seq(sc.d1, sc.d2), Tokenization.Flatten)
-    val prf = DeepER.run(spark, sc.d1, sc.d2, sc.colMatches, pre,
+    val pre = PretrainedEmbeddings.forDatasets(TestFixtures.tinyRelations, Tokenization.Flatten)
+    val prf = DeepER.run(spark, r1, r2, sc.colMatches, pre,
       Tokenization.Flatten, gt, sc.candidates, DeepER.Config(labelFraction = 0.25))
     assert(prf.precision >= 0.0 && prf.recall >= 0.0)
   }

@@ -43,8 +43,7 @@ class PretrainedEmbeddingsSpec extends SparkSpec {
   }
 
   test("forDatasets composes RID and CID vectors") {
-    val m = PretrainedEmbeddings.forDatasets(
-      Seq(TestFixtures.tiny.d1, TestFixtures.tiny.d2), Tokenization.Flatten)
+    val m = PretrainedEmbeddings.forDatasets(TestFixtures.tinyRelations, Tokenization.Flatten)
     assert(m.words.exists(NodeNames.isRid))
     assert(m.words.exists(NodeNames.isCid))
     TestFixtures.tiny.columns1.foreach(c => assert(m.contains(NodeNames.cid(1, c))))

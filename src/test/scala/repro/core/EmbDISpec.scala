@@ -104,6 +104,18 @@ class EmbDISpec extends SparkSpec {
     assert(e2.getMessage.contains("1 rows repeat an id (or have none)"), e2.getMessage)
   }
 
+  test("EmbDI.run over datasets equals EmbDI.run over their relations") {
+    // `result` runs on TestFixtures.tinyRelations with the same configuration.
+    val viaFrames = EmbDI.run(spark, Seq(scenario.d1, scenario.d2), TestFixtures.testConfig())
+    assert(viaFrames.nSentences == result.nSentences)
+    assert(viaFrames.nDistinctValues == result.nDistinctValues)
+    assert(viaFrames.graph.numEdges == result.graph.numEdges)
+    assert(viaFrames.model.words.sameElements(result.model.words))
+    viaFrames.model.vectors.zip(result.model.vectors).foreach { case (a, b) =>
+      assert(java.util.Arrays.equals(a, b))
+    }
+  }
+
   test("EmbDI.run reads each dataset in one Spark job and shuffles nothing") {
     val counts = SparkJobs.count(spark)(
       EmbDI.run(spark, Seq(scenario.d1, scenario.d2), TestFixtures.testConfig()))

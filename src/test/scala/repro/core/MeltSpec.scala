@@ -1,16 +1,11 @@
 package repro.core
 
-import java.util.concurrent.ConcurrentLinkedQueue
-
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.execution.{LocalTableScanExec, QueryExecution, SparkPlan, UnionExec}
+import org.apache.spark.sql.execution.{SparkPlan, UnionExec}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.functions.{col, lit}
 import org.apache.spark.sql.types._
-import org.apache.spark.sql.util.QueryExecutionListener
 import repro.{SparkJobs, SparkSpec, TestFixtures}
-
-import scala.jdk.CollectionConverters._
 
 /** The one-job [[Relation]] read behind [[Tokenization]] and
   * [[TripartiteGraph]]: the same sets as a per-column `select` + `union` melt
@@ -121,34 +116,12 @@ class MeltSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   private def leaves(p: SparkPlan): Int = collectLeaves(p).size
   private def unionInputs(p: SparkPlan): Int = collect(p) { case u: UnionExec => u.children.size }.sum
 
-  /** Executed plans of every action `body` runs. A marker action after it
-    * flushes the (asynchronous) listener bus. */
-  private def executedPlans(body: => Unit): Seq[SparkPlan] = {
-    val seen = new ConcurrentLinkedQueue[SparkPlan]
-    val listener = new QueryExecutionListener {
-      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = seen.add(qe.executedPlan)
-      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
-    }
-    spark.listenerManager.register(listener)
-    try {
-      body
-      spark.range(7).toDF("marker").collect()
-      val deadline = System.nanoTime() + 30_000_000_000L
-      def hasMarker = seen.asScala.exists(_.output.exists(_.name == "marker"))
-      while (!hasMarker && System.nanoTime() < deadline) Thread.sleep(10)
-      assert(hasMarker, "listener bus did not deliver the marker action")
-    } finally spark.listenerManager.unregister(listener)
-    seen.asScala.toSeq.filterNot(_.output.exists(_.name == "marker"))
-  }
-
   /** One Spark job and one scan per input read, and no per-column union: the
     * executed plans that read an input (every plan not over local driver
     * data) are one per input, each with one leaf and no union. */
   private def assertOneReadPerInput(what: String, nInputs: Int)(body: => Unit): Unit = {
-    var jobs = -1
-    val plans = executedPlans { jobs = SparkJobs.count(spark)(body).jobs }
-    val reads = plans.filterNot(p => collectLeaves(p).forall(_.isInstanceOf[LocalTableScanExec]))
-    assert(jobs == nInputs, s"$what: $jobs Spark jobs for $nInputs inputs")
+    val (counts, reads) = SparkJobs.countReads(spark)(body)
+    assert(counts.jobs == nInputs, s"$what: ${counts.jobs} Spark jobs for $nInputs inputs")
     assert(reads.size == nInputs, s"$what: ${reads.size} input reads for $nInputs inputs\n" +
       reads.mkString("\n"))
     reads.foreach { p =>

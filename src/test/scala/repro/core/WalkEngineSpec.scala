@@ -61,7 +61,7 @@ class WalkEngineSpec extends SparkSpec {
     val data = Seq(sc.d1, sc.d2)
     Seq(Tokenization.Flatten, Tokenization.Overlap(TestFixtures.tinyShared)).foreach { st =>
       val cfg = BasicEmbeddings.Config(corpusTokens = 30000, strategy = st)
-      val got = rows(BasicEmbeddings.corpus(data, cfg))
+      val got = rows(BasicEmbeddings.corpus(TestFixtures.tinyRelations, cfg))
       assert(got.nonEmpty)
       assert(got == ReferenceWalks.basic(spark, data, cfg), st.name)
     }

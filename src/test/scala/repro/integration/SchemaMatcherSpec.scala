@@ -1,7 +1,7 @@
 package repro.integration
 
 import repro.{SparkSpec, TestFixtures}
-import repro.core.{EmbeddingModel, NodeNames}
+import repro.core.{EmbeddingModel, NodeNames, Relation}
 
 class SchemaMatcherSpec extends SparkSpec {
 
@@ -68,14 +68,15 @@ class SchemaMatcherSpec extends SparkSpec {
     import spark.implicits._
     val d1 = Seq((0L, "red", "alpha"), (1L, "blue", "beta")).toDF("__rid", "color", "greek")
     val d2 = Seq((2L, "alpha", "red"), (3L, "beta", "green")).toDF("__rid", "letter", "paint")
-    val got = SchemaMatcher.matchBase(spark, d1, d2).toSet
+    val got = SchemaMatcher.matchBase(Relation.read(d1), Relation.read(d2)).toSet
     assert(got.contains(("greek", "letter")))
     assert(got.contains(("color", "paint")))
   }
 
   test("Base matcher on the tiny scenario recovers most column matches") {
     val sc = TestFixtures.tiny
-    val got = SchemaMatcher.matchBase(spark, sc.d1, sc.d2).toSet
+    val Seq(r1, r2) = TestFixtures.tinyRelations
+    val got = SchemaMatcher.matchBase(r1, r2).toSet
     val gt = sc.colMatches.toSet
     val prf = Metrics.prf(got, gt)
     assert(prf.recall >= 0.5, s"Base matcher recall ${prf.recall}, got $got")
