@@ -17,6 +17,8 @@ import repro.integration.{EntityResolver, Metrics, SchemaMatcher}
   *    (paper: ~+3% ER);
   *  - the §5.4 alignment refinement (paper: ~+2% ER);
   *  - Figure 3: ER on IM with increasing NULLs in Year, Skip vs FD policy.
+  *
+  * Each variant changes one setting of the bundle's EmbDI-O configuration.
   */
 class AblationBench extends SparkSpec {
 
@@ -27,8 +29,8 @@ class AblationBench extends SparkSpec {
     BenchOut.reset("ablation")
     val b = Bench.bundle(spark, "DS")
     val f60 = smF(b, b.embdiO.model)
+    val cfg = b.embdiOConfig
     val byLen = Seq(5, 3).map { len =>
-      val cfg = Bench.embdiConfig(Tokenization.Overlap(b.shared))
       val res = EmbDI.run(b.relations, cfg.copy(walk = cfg.walk.copy(walkLength = len)))
       len -> smF(b, res.model)
     }.toMap
@@ -39,7 +41,7 @@ class AblationBench extends SparkSpec {
   test("Ablation: word2vec window size on DA") {
     val b = Bench.bundle(spark, "DA")
     val q3 = Bench.scoreQuality(b.embdiO.model, Bench.qualityTests(b, 200))
-    val cfg = Bench.embdiConfig(Tokenization.Overlap(b.shared))
+    val cfg = b.embdiOConfig
     val res5 = EmbDI.run(b.relations, cfg.copy(w2v = cfg.w2v.copy(window = 5)))
     val q5 = Bench.scoreQuality(res5.model, Bench.qualityTests(b, 200))
     BenchOut.emit("ablation", f"window DA EQ: w3 ${q3.render} | w5 ${q5.render}")
@@ -55,7 +57,7 @@ class AblationBench extends SparkSpec {
       b.scenario.dictionary.flatMap { case (code, full) =>
         Seq(code -> (full, 0.5), full -> (code, 0.5))
       }
-    val cfg = Bench.embdiConfig(Tokenization.Overlap(b.shared))
+    val cfg = b.embdiOConfig
     val res = EmbDI.run(b.relations, cfg.copy(walk = cfg.walk.copy(replacements = repl)))
     val withDict = Bench.erScore(spark, b, res.model).f1
     BenchOut.emit("ablation", f"replacement IM ER: base=$base%.3f dict=$withDict%.3f")
@@ -72,8 +74,9 @@ class AblationBench extends SparkSpec {
     val candidates = EntityResolver.matchRids(spark, b.embdiO.model,
       EntityResolver.ridsIn(b.embdiO.model, b.ridRange1._1, b.ridRange1._2),
       EntityResolver.ridsIn(b.embdiO.model, b.ridRange2._1, b.ridRange2._2))
-    // per-relation trainings (each indexes itself as dataset 1)
-    val cfg = Bench.embdiConfig(Tokenization.Flatten)
+    // per-relation trainings (each indexes itself as dataset 1), tokenized
+    // as the pooled model is
+    val cfg = Bench.embdiConfig(Tokenization.Overlap(b.shared))
     val mA = EmbDI.run(Seq(b.relations(0)), cfg).model
     val mB = EmbDI.run(Seq(b.relations(1)), cfg).model
     val tokenAnchors = b.shared.toSeq.sorted
@@ -109,10 +112,13 @@ class AblationBench extends SparkSpec {
             Seq("release_year"))
           (f1, f2)
         }
-      // Each NULL-injected table is read once.
+      // Each NULL-injected table is read once; EmbDI-O as the bundle
+      // configures it, over these tables' shared values and words.
       val Seq(r1, r2) = Seq(e1, e2).map(Relation.read)
+      val shared = Tokenization.sharedValues(r1, r2, sigFigs = 4)
+      val words = Tokenization.sharedTokens(r1, r2, Tokenization.Flatten, sigFigs = 4)
       val res = EmbDI.run(Seq(r1, r2),
-        Bench.embdiConfig(Tokenization.Overlap(Tokenization.sharedValues(r1, r2, sigFigs = 4))))
+        Bench.pairConfig(Tokenization.Overlap(shared), shared, words))
       // ER under the GT-query protocol of Tables 4 and 5; the NULL
       // injection keeps every RID, so b0's ground truth and ranges apply.
       Bench.erScore(spark, b0, res.model).f1

@@ -11,12 +11,9 @@ class Table1Bench extends SparkSpec {
 
   test("Table 1: dataset properties for every scenario") {
     BenchOut.reset("table1")
-    BenchOut.emit("table1",
-      f"${"DS"}%-4s ${"tuples"}%8s ${"cols"}%4s ${"distinct"}%9s " +
-      f"${"matches"}%8s ${"sentences"}%10s ${"overlap%"}%7s")
-    Scenarios.allConfigs.foreach { cfg =>
-      val row = Bench.table1Row(Bench.bundle(spark, cfg.shorthand))
-      BenchOut.emit("table1", row.render)
+    val table = Bench.table1(Scenarios.allConfigs.map(cfg => Bench.bundle(spark, cfg.shorthand)))
+    table.lines.foreach(BenchOut.emit("table1", _))
+    Scenarios.allConfigs.zip(table.rows).foreach { case (cfg, row) =>
       assert(row.tuples > 0 && row.distinctValues > 0 && row.sentences > 0)
       if (!cfg.singleTable) {
         assert(row.matches == cfg.nShared.toLong)

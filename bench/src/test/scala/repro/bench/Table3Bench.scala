@@ -12,16 +12,10 @@ class Table3Bench extends SparkSpec {
 
   test("Table 3: schema matching across methods") {
     BenchOut.reset("table3")
-    val rows = Scenarios.integrationConfigs.map { cfg =>
-      val row = Bench.table3Row(Bench.bundle(spark, cfg.shorthand))
-      BenchOut.emit("table3", row.render)
-      row.scores.toMap
-    }
+    val table = Bench.table3(Scenarios.integrationConfigs.map(cfg => Bench.bundle(spark, cfg.shorthand)))
+    table.lines.foreach(BenchOut.emit("table3", _))
+    val rows = table.rows.map(_.scores.toMap)
     def mean(m: String) = rows.map(_(m)).sum / rows.size
-    BenchOut.emit("table3",
-      f"MEAN Base=${mean("Base")}%.2f EmbDI=${mean("EmbDI")}%.2f " +
-      f"Node2Vec=${mean("Node2Vec")}%.2f Harp=${mean("Harp")}%.2f " +
-      f"SeepP=${mean("SeepP")}%.2f SeepL=${mean("SeepL")}%.2f")
     // Paper shape: EmbDI-driven matching at least on par with SeepP. Our
     // synthetic attribute labels are string-informative, which props SeepP
     // up relative to the paper's setting (see EXPERIMENTS.md), so SeepL is

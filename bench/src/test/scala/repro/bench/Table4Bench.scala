@@ -14,16 +14,11 @@ class Table4Bench extends SparkSpec {
 
   test("Table 4: entity resolution across methods") {
     BenchOut.reset("table4")
-    val rows = Scenarios.integrationConfigs.map { cfg =>
-      val row = Bench.table4Row(spark, Bench.bundle(spark, cfg.shorthand))
-      BenchOut.emit("table4", row.render)
-      row.scores.toMap
-    }
+    val table = Bench.table4(spark,
+      Scenarios.integrationConfigs.map(cfg => Bench.bundle(spark, cfg.shorthand)))
+    table.lines.foreach(BenchOut.emit("table4", _))
+    val rows = table.rows.map(_.scores.toMap)
     def mean(m: String) = rows.map(_(m)).sum / rows.size
-    BenchOut.emit("table4",
-      Seq("fastText", "EmbDI-S", "EmbDI-F", "EmbDI-O", "Node2Vec", "Harp",
-          "DeepERP", "DeepERL", "DeepERPt", "DeepERLt")
-        .map(m => f"$m=${mean(m)}%.2f").mkString("MEAN ", " ", ""))
     // Paper shape: local embeddings at least competitive with the
     // pre-trained space (the stand-in has no true-OOV handicap and our
     // corpus is 10× below the paper's rule — see EXPERIMENTS.md), and

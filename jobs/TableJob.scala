@@ -14,31 +14,30 @@ private object JobUtil {
       .getOrCreate()
 }
 
-/** spark-submit entrypoint for the evaluation tables: prints the rows of the
-  * corresponding `repro.bench` suite through the same `Bench` row functions.
+/** spark-submit entrypoint for the evaluation tables: prints the lines of the
+  * corresponding `repro.bench` suite through the same `Bench` functions.
   *
   * Usage: `spark-submit --class repro.jobs.TableJob repro.jar <1-6|tm> [DS ...]`;
   * scenario shorthands (any case) restrict the run to those scenarios.
   */
 object TableJob {
 
-  /** A table's valid scenarios, those it runs when none are named, and its
-    * rows for one scenario's bundle. */
-  private final case class Table(known: Seq[String], default: Seq[String],
-                                 rows: (SparkSession, Bench.Bundle) => Seq[String])
+  /** A table's valid scenarios, those it runs when none are named, and its lines. */
+  private final case class Entry(known: Seq[String], default: Seq[String],
+                                 lines: (SparkSession, Seq[Bench.Bundle]) => Seq[String])
 
   private val all = Scenarios.allConfigs.map(_.shorthand)
   private val pairs = Scenarios.integrationConfigs.map(_.shorthand)
 
-  private val tables: ListMap[String, Table] = ListMap(
-    "1" -> Table(all, all, (_, b) => Seq(Bench.table1Row(b).render)),
-    "2" -> Table(all, all, (_, b) => Bench.table2Rows(b).map(_.render)),
-    "3" -> Table(pairs, pairs, (_, b) => Seq(Bench.table3Row(b).render)),
-    "4" -> Table(pairs, pairs, (s, b) => Seq(Bench.table4Row(s, b).render)),
-    "5" -> Table(pairs, Bench.table5Scenarios, (s, b) => Bench.table5Rows(s, b).map(_.render)),
-    "6" -> Table(all, all, (_, b) => Seq(Bench.timingRow(b).render)),
+  private val tables: ListMap[String, Entry] = ListMap(
+    "1" -> Entry(all, all, (_, bs) => Bench.table1(bs).lines),
+    "2" -> Entry(all, all, (_, bs) => Bench.table2(bs).lines),
+    "3" -> Entry(pairs, pairs, (_, bs) => Bench.table3(bs).lines),
+    "4" -> Entry(pairs, pairs, (s, bs) => Bench.table4(s, bs).lines),
+    "5" -> Entry(pairs, Bench.table5Scenarios, (s, bs) => bs.flatMap(Bench.table5Rows(s, _)).map(_.render)),
+    "6" -> Entry(all, all, (_, bs) => Bench.table6(bs).lines),
     // §7.2 token matching runs on the IM pair only.
-    "tm" -> Table(Seq("IM"), Seq("IM"), (_, b) => Bench.tokenMatchingRows(b).map(_.render)),
+    "tm" -> Entry(Seq("IM"), Seq("IM"), (_, bs) => bs.flatMap(Bench.tokenMatchingRows).map(_.render)),
   )
 
   /** The table and the scenarios to run, or why the arguments are rejected. */
@@ -55,7 +54,7 @@ object TableJob {
     case Left(message) => System.err.println(message); sys.exit(2)
     case Right((t, scenarios)) =>
       val spark = JobUtil.session(s"table$t")
-      scenarios.foreach(d => tables(t).rows(spark, Bench.bundle(spark, d)).foreach(println))
+      tables(t).lines(spark, scenarios.map(Bench.bundle(spark, _))).foreach(println)
       spark.stop()
   }
 }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{EmbeddingModel, EmbeddingTrainer, NodeNames, Rand, Relation, Tokenization}
+import repro.core.{NodeNames, Rand, Relation, Tokenization}
 
 /** The `Basic` baseline of §7: no graph — sentences are (a) permutations of
   * each row's tokens prefixed by the row's RID and (b) samples of each
@@ -16,24 +16,20 @@ object BasicEmbeddings {
 
   final case class Config(
       corpusTokens: Long = 1_000_000L,
-      /** Share of the corpus spent on row permutations vs attribute samples;
-        * §7.1 notes raising it helps MR and hurts MA. */
-      rowFraction: Double = 0.5,
-      attrSentenceLen: Int = 10,
       strategy: Tokenization.Strategy = Tokenization.Flatten,
-      w2v: EmbeddingTrainer.W2VConfig = EmbeddingTrainer.W2VConfig(),
       seed: Long = 7777L,
   )
 
-  /** Train Basic embeddings over the relations (each with global `__rid`s). */
-  def train(relations: Seq[Relation], cfg: Config): EmbeddingModel =
-    EmbeddingTrainer.train(corpus(relations, cfg), cfg.w2v)
+  /** Share of the corpus spent on row permutations (§7.1: more helps MR, hurts MA). */
+  private[repro] val RowFraction = 0.5
+  /** Tokens drawn per attribute sentence, after its CID. */
+  private[repro] val AttrSentenceLen = 10
 
-  /** Basic's sentences, built on the driver from the relations:
-    * `permsPerRow` shuffles of each non-empty row's tokens, opened by its RID
-    * (the rows of D1, then of D2), then `perAttr` samples of each non-empty
-    * column domain, opened by its CID. */
-  private[repro] def corpus(relations: Seq[Relation], cfg: Config): Array[Array[String]] = {
+  /** Basic's sentences, built on the driver from the relations (global
+    * `__rid`s): `permsPerRow` shuffles of each non-empty row's tokens, opened
+    * by its RID (the rows of D1, then of D2), then `perAttr` samples of each
+    * non-empty column domain, opened by its CID. */
+  def corpus(relations: Seq[Relation], cfg: Config): Array[Array[String]] = {
     val rows = relations.flatMap { rel =>
       rel.rids.indices.map(r =>
         (rel.rids(r), rel.cells(r).toSeq.flatMap(Tokenization.tokens(_, cfg.strategy))))
@@ -41,7 +37,7 @@ object BasicEmbeddings {
     val nRows = math.max(1L, rows.size.toLong)
     val avgRowLen = math.max(2.0, rows.map(_._2.size + 1L).sum / nRows.toDouble)
 
-    val rowBudgetTokens = (cfg.corpusTokens * cfg.rowFraction).toLong
+    val rowBudgetTokens = (cfg.corpusTokens * RowFraction).toLong
     val permsPerRow = math.max(1L, (rowBudgetTokens / avgRowLen / nRows).toLong).toInt
     val rowSentences = rows.flatMap { case (rid, toks) =>
       (0 until permsPerRow).map { p =>
@@ -57,11 +53,11 @@ object BasicEmbeddings {
     }.filter(_._2.nonEmpty)
     val attrBudgetTokens = cfg.corpusTokens - rowBudgetTokens
     val perAttr = math.max(1L,
-      attrBudgetTokens / (cfg.attrSentenceLen + 1) / math.max(1, domains.size)).toInt
+      attrBudgetTokens / (AttrSentenceLen + 1) / math.max(1, domains.size)).toInt
     val attrSentences = domains.flatMap { case (cid, dom) =>
       (0 until perAttr).map { s =>
         val rng = Rand.of(cfg.seed, cid.hashCode.toLong, s.toLong)
-        cid +: Array.fill(cfg.attrSentenceLen)(dom(rng.nextInt(dom.size)))
+        cid +: Array.fill(AttrSentenceLen)(dom(rng.nextInt(dom.size)))
       }
     }
     (rowSentences ++ attrSentences).toArray

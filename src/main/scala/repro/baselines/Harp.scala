@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{CompactGraph, EmbeddingTrainer, RandomWalker}
+import repro.core.{CompactGraph, RandomWalker}
 
 import scala.util.Random
 
@@ -20,12 +20,13 @@ import scala.util.Random
 object Harp {
 
   final case class Config(
-      levels: Int = 2,
       corpusTokens: Long = 1_000_000L,
       walkLength: Int = 60,
-      w2v: EmbeddingTrainer.W2VConfig = EmbeddingTrainer.W2VConfig(),
       seed: Long = 5555L,
   )
+
+  /** Coarsenings below the input graph. */
+  private[repro] val Levels = 2
 
   /** One coarsening step by randomized maximal edge matching.
     * Returns (coarse graph, fine-node-id → coarse-node-id). Coarse node
@@ -55,14 +56,14 @@ object Harp {
     (coarse, mapping)
   }
 
-  /** The combined walk corpus over `g0` and its `cfg.levels` coarsenings,
+  /** The combined walk corpus over `g0` and its [[Levels]] coarsenings,
     * each level with an equal share of the token budget. Walks are uniform
     * (no first-step RID) and each supernode is written as a member drawn
     * with the walk's own RNG; level `l` seeds its walks at start-id offset
     * `l · 1 000 003`, so levels never share a walk seed. */
-  private[repro] def corpus(g0: CompactGraph, cfg: Config): Array[Array[String]] = {
+  def corpus(g0: CompactGraph, cfg: Config): Array[Array[String]] = {
     // Build the hierarchy with the fine-node → level-node mapping per level.
-    val graphs = (1 to cfg.levels).scanLeft((g0, Array.range(0, g0.numNodes))) {
+    val graphs = (1 to Levels).scanLeft((g0, Array.range(0, g0.numNodes))) {
       case ((g, fineToLevel), lvl) =>
         val (coarse, m) = coarsen(g, lvl, cfg.seed + lvl)
         (coarse, fineToLevel.map(m))
@@ -84,9 +85,4 @@ object Harp {
       }
     }.reduce(_ ++ _)
   }
-
-  /** Train HARP embeddings over the finest graph `g0`; the walk time
-    * includes building the hierarchy. */
-  def train(g0: CompactGraph, cfg: Config): EmbeddingTrainer.Trained =
-    EmbeddingTrainer.walkThenTrain(corpus(g0, cfg), cfg.w2v)
 }

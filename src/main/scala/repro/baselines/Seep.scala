@@ -10,9 +10,9 @@ import repro.integration.SchemaMatcher
   * with an embedding signature of the attribute's *instances*; the paper
   * stresses that `SeepP`'s quality tracks the quality of the labels. We keep
   * that architecture: per column, signature = (label vector, instance
-  * centroid); cross-column similarity = `labelWeight·cos(labels) +
-  * (1−labelWeight)·cos(centroids)`; matching = the same two-sweep mutual
-  * matching used everywhere.
+  * centroid); cross-column similarity = `w·cos(labels) + (1−w)·cos(centroids)`
+  * with `w` = `LabelWeight`; matching = the same two-sweep mutual matching
+  * used everywhere.
   *
   *  - [[runPretrained]] (SeepP): both parts from the pre-trained space.
   *  - [[runLocal]] (SeepL): instance centroids and CID vectors from EmbDI
@@ -29,16 +29,17 @@ object Seep {
       sig: (String, Seq[String]) => Signature): Seq[(String, Signature)] =
     Tokenization.columnTokens(rel, strategy).map { case (c, t) => c -> sig(c, t) }
 
+  private val LabelWeight = 0.5
+
   /** SeepP: pre-trained vectors for labels and instance tokens. */
-  def runPretrained(r1: Relation, r2: Relation, labelWeight: Double = 0.5,
-                    dim: Int = PretrainedEmbeddings.DefaultDim): Seq[(String, String)] = {
+  def runPretrained(r1: Relation, r2: Relation): Seq[(String, String)] = {
     def sig(c: String, toks: Seq[String]): Signature =
       Signature(
-        label = PretrainedEmbeddings.tokenVector(c.toLowerCase, dim),
-        centroid =
-          EmbeddingModel.normalizedSum(toks.map(PretrainedEmbeddings.tokenVector(_, dim)), dim))
+        label = PretrainedEmbeddings.tokenVector(c.toLowerCase),
+        centroid = EmbeddingModel.normalizedSum(toks.map(PretrainedEmbeddings.tokenVector(_)),
+          PretrainedEmbeddings.DefaultDim))
     matchBySignatures(signatures(r1, Tokenization.Flatten)(sig),
-      signatures(r2, Tokenization.Flatten)(sig), labelWeight)
+      signatures(r2, Tokenization.Flatten)(sig))
   }
 
   /** SeepL: EmbDI local embeddings — CID vector (if learned) blended with
@@ -51,8 +52,7 @@ object Seep {
       val cid = model.vector(NodeNames.cid(dsIdx, c)).getOrElse(cen)
       Signature(label = cid, centroid = cen)
     }
-    matchBySignatures(signatures(r1, strategy)(sig(1)), signatures(r2, strategy)(sig(2)),
-      labelWeight = 0.5)
+    matchBySignatures(signatures(r1, strategy)(sig(1)), signatures(r2, strategy)(sig(2)))
   }
 
   /** Minimum combined similarity for a candidate pair to be considered at
@@ -60,12 +60,12 @@ object Seep {
     * one, mutual matching on pure noise still emits a full permutation. */
   val MinSim = 0.35
 
-  private def matchBySignatures(s1: Seq[(String, Signature)], s2: Seq[(String, Signature)],
-                                labelWeight: Double): Seq[(String, String)] = {
+  private def matchBySignatures(s1: Seq[(String, Signature)],
+                                s2: Seq[(String, Signature)]): Seq[(String, String)] = {
     val sims = (for {
       (c1, a) <- s1; (c2, b) <- s2
-      sim = labelWeight * EmbeddingModel.dot(a.label, b.label) +
-        (1 - labelWeight) * EmbeddingModel.dot(a.centroid, b.centroid)
+      sim = LabelWeight * EmbeddingModel.dot(a.label, b.label) +
+        (1 - LabelWeight) * EmbeddingModel.dot(a.centroid, b.centroid)
       if sim >= MinSim
     } yield (c1, c2) -> sim).toMap
     SchemaMatcher.mutualMatch(sims, s1.map(_._1), s2.map(_._1),

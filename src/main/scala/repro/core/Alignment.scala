@@ -43,8 +43,8 @@ object Alignment {
 
   /** Algorithm 4: align `modelA` onto `modelB`'s space using the given
     * anchor words (RIDs/CIDs candidate matches, or shared tokens).
-    * Output space: rotated A-only words, B-only words as-is, anchors
-    * averaged between rotated-A and B. */
+    * Output space: every word of A rotated, an anchor's A word averaged
+    * with its B partner; every word of B that A does not name, as-is. */
   def align(modelA: EmbeddingModel, modelB: EmbeddingModel,
             anchors: Seq[(String, String)]): EmbeddingModel = {
     val pairs = anchors.flatMap { case (wa, wb) =>
@@ -53,7 +53,6 @@ object Alignment {
     require(pairs.nonEmpty, "no anchor is present in both models")
     val w = procrustes(pairs)
     val anchorBByA = anchors.toMap
-    val anchorB = anchors.map(_._2).toSet
     val rotated: Seq[(String, Array[Float])] = modelA.words.toSeq.map { word =>
       val r = EmbeddingModel.normalize(applyW(w, modelA.vector(word).get))
       anchorBByA.get(word).flatMap(modelB.vector) match {
@@ -64,7 +63,7 @@ object Alignment {
       }
     }
     val bOnly = modelB.words.toSeq
-      .filterNot(anchorB)
+      .filterNot(modelA.contains)
       .map(wb => wb -> modelB.vector(wb).get)
     EmbeddingModel(rotated ++ bOnly)
   }

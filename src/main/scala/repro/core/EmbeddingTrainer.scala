@@ -31,10 +31,11 @@ object EmbeddingTrainer {
       window: Int = 3,
       minCount: Int = 2,
       maxIter: Int = 1,
-      stepSize: Double = 0.025,
       seed: Long = 99L,
   )
 
+  /** The initial learning rate (MLlib's and word2vec's skip-gram default). */
+  private[repro] final val StepSize = 0.025
   /** MLlib's sentence chunk length (`maxSentenceLength`). */
   private val MaxSentenceLength = 1000
 
@@ -186,7 +187,6 @@ object EmbeddingTrainer {
   private final class SkipGramHS(enc: Encoded, tree: HuffmanTree, cfg: W2VConfig) {
     private val dim = cfg.dim
     private val window = cfg.window
-    private val stepSize = cfg.stepSize
     private val syn0 = {
       val init = new SplittableRandom(Rand.mix64(cfg.seed))
       Array.fill(enc.words.length * dim)((init.nextFloat() - 0.5f) / dim)
@@ -196,7 +196,7 @@ object EmbeddingTrainer {
     private val dots = new Array[Float](tree.maxCodeLen)
     private val trainWords = enc.counts.sum
     private val totalWords = cfg.maxIter * trainWords + 1
-    private var alpha = stepSize
+    private var alpha = StepSize
     private var random: SplittableRandom = _
 
     /** All epochs; returns syn0, row `i` the vector of `enc.words(i)`. */
@@ -206,12 +206,12 @@ object EmbeddingTrainer {
       syn0
     }
 
-    /** MLlib's per-partition loop: the rate restarts at `stepSize` each
+    /** MLlib's per-partition loop: the rate restarts at `StepSize` each
       * epoch and decays linearly with the words seen, re-set whenever more
       * than 10,000 words have passed since the last re-set. */
     private def epoch(k: Int): Unit = {
       random = new SplittableRandom(Rand.mix64(Rand.mix64(cfg.seed) ^ k))
-      alpha = stepSize
+      alpha = StepSize
       val before = (k - 1) * trainWords
       var lastWordCount = 0L
       var wordCount = 0L
@@ -220,8 +220,8 @@ object EmbeddingTrainer {
       while (s < enc.ends.length) {
         if (wordCount - lastWordCount > 10000) {
           lastWordCount = wordCount
-          alpha = math.max(stepSize * (1 - (wordCount + before).toDouble / totalWords),
-            stepSize * 0.0001)
+          alpha = math.max(StepSize * (1 - (wordCount + before).toDouble / totalWords),
+            StepSize * 0.0001)
         }
         val end = enc.ends(s)
         wordCount += end - start

@@ -20,7 +20,7 @@ object RandomWalker {
   /** Every node starts walks — the single-relation default. */
   case object AllNodes extends StartStrategy
   /** §5.1 imbalance heuristic: only tokens occurring in *both* datasets
-    * (the bridge nodes) start walks. */
+    * (the bridge nodes) start walks, each opening with a RID *or CID* of it. */
   final case class OverlapTokens(shared: Set[String]) extends StartStrategy
 
   final case class WalkConfig(
@@ -30,10 +30,6 @@ object RandomWalker {
         * guaranteed budget of ≥ 1 walk per start node (§4.2). */
       corpusTokens: Long = 1_000_000L,
       startStrategy: StartStrategy = AllNodes,
-      /** Algorithm 2 prepends a neighboring RID to walks from a token; §5.1
-        * widens the pick to "RID or CID" to strengthen bridge evidence (set
-        * when using the overlap start strategy). */
-      firstStepOrCid: Boolean = false,
       /** §5.3 emission-time replacement: node name → (replacement, prob).
         * The walk itself keeps stepping from the original node. */
       replacements: Map[String, (String, Double)] = Map.empty,
@@ -62,11 +58,11 @@ object RandomWalker {
   }
 
   /** One EmbDI walk from `start`, as node ids (before replacement): a walk
-    * from a token opens with a neighboring RID (or CID) first. */
+    * from a token opens with a neighboring RID, or RID or CID (§5.1) first. */
   private[repro] def walkFrom(graph: CompactGraph, start: Int, cfg: WalkConfig,
                              rng: Random): Array[Int] =
     if (graph.isToken(start)) {
-      val first = graph.randomNeighborOfKind(start, rng, orCid = cfg.firstStepOrCid)
+      val first = graph.randomNeighborOfKind(start, rng, cfg.startStrategy.isInstanceOf[OverlapTokens])
       first +: uniformWalk(graph, start, cfg.walkLength - 1, rng)
     } else uniformWalk(graph, start, cfg.walkLength, rng)
 

@@ -1,6 +1,6 @@
 package repro.eval
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baselines._
 import repro.core._
 import repro.data.{AttrKind, Scenario, Scenarios}
@@ -8,10 +8,9 @@ import repro.integration._
 
 /** Shared machinery behind the per-table bench suites and the
   * `TableJob <1-6|tm>` spark-submit entrypoint: one lazily-trained bundle of
-  * scenario + models per dataset shorthand, plus one row function per table
-  * of §7 (computation and rendering) over a bundle that both of them call.
-  * All parameters come from [[Bench.Params]]; seeds are fixed so repeated
-  * runs agree.
+  * scenario + models per dataset shorthand, plus the rows and printed lines
+  * of each table of §7 that both of them use. All parameters come from
+  * [[Bench.Params]]; seeds are fixed so repeated runs agree.
   */
 object Bench {
 
@@ -36,24 +35,30 @@ object Bench {
     EmbeddingTrainer.W2VConfig(dim = p.dim, window = p.window, minCount = p.minCount,
       maxIter = p.w2vIters, seed = p.seed)
 
-  /** Default EmbDI configuration. For two-dataset scenarios the §5.1
-    * imbalance heuristic is on (as in the paper's default): walks start only
-    * from tokens occurring in both datasets and each sentence opens with a
-    * RID or CID connected to that bridge token. */
+  /** EmbDI configuration; with a non-empty `overlapStart` the §5.1
+    * imbalance heuristic is on: walks start only from those tokens, and each
+    * opens with a RID or CID connected to its bridge token. */
   def embdiConfig(strategy: Tokenization.Strategy, p: Params = params,
                   overlapStart: Option[Set[String]] = None): EmbDI.Config =
     EmbDI.Config(
       strategy = strategy,
       walk = RandomWalker.WalkConfig(
         walkLength = p.walkLength, seed = p.seed,
-        startStrategy = overlapStart match {
-          case Some(shared) if shared.nonEmpty => RandomWalker.OverlapTokens(shared)
-          case _ => RandomWalker.AllNodes
-        },
-        firstStepOrCid = overlapStart.exists(_.nonEmpty)),
+        startStrategy = overlapStart.filter(_.nonEmpty)
+          .fold[RandomWalker.StartStrategy](RandomWalker.AllNodes)(RandomWalker.OverlapTokens)),
       w2v = w2v(p),
       corpusFactor = p.corpusFactor,
     )
+
+  /** EmbDI-S/F/O for datasets sharing the values `shared` and the words `words` (none for
+    * a single relation): walks start from the tokens both hold under `strategy`. */
+  def pairConfig(strategy: Tokenization.Strategy, shared: Set[String],
+                 words: Set[String]): EmbDI.Config =
+    embdiConfig(strategy, overlapStart = Some(strategy match {
+      case Tokenization.Simple => shared
+      case Tokenization.Flatten => words
+      case Tokenization.Overlap(_) => shared ++ words
+    }))
 
   /** All models for one scenario, trained on demand and cached. The
     * scenario's tables are read once, into [[relations]]; every model,
@@ -62,9 +67,9 @@ object Bench {
     private val cfg = scenario.config
     def shorthand: String = cfg.shorthand
 
-    /** d1, and d2 for a dataset pair, each read once. */
-    lazy val relations: Seq[Relation] =
-      (if (cfg.singleTable) Seq(scenario.d1) else Seq(scenario.d1, scenario.d2)).map(Relation.read)
+    /** d1, and d2 for a dataset pair; and each of them read once. */
+    def tables: Seq[DataFrame] = if (cfg.singleTable) Seq(scenario.d1) else Seq(scenario.d1, scenario.d2)
+    lazy val relations: Seq[Relation] = tables.map(Relation.read)
 
     lazy val shared: Set[String] =
       if (cfg.singleTable) Set.empty
@@ -75,36 +80,24 @@ object Bench {
       if (cfg.singleTable) Set.empty
       else Tokenization.sharedTokens(relations(0), relations(1), Tokenization.Flatten, sigFigs = 4)
 
-    /** The default EmbDI configuration (EmbDI-O tokenization, §5.1
-      * overlap-start on for dataset pairs). */
-    lazy val embdiO: EmbDI.Result =
-      EmbDI.run(relations, embdiConfig(Tokenization.Overlap(shared),
-        overlapStart = if (cfg.singleTable) None else Some(shared ++ sharedWords)))
-    lazy val embdiS: EmbDI.Result =
-      EmbDI.run(relations, embdiConfig(Tokenization.Simple,
-        overlapStart = if (cfg.singleTable) None else Some(shared)))
-    lazy val embdiF: EmbDI.Result =
-      EmbDI.run(relations, embdiConfig(Tokenization.Flatten,
-        overlapStart = if (cfg.singleTable) None else Some(sharedWords)))
+    /** The default EmbDI configuration: EmbDI-O, with §5.1 overlap starts for a pair. */
+    lazy val embdiOConfig: EmbDI.Config = pairConfig(Tokenization.Overlap(shared), shared, sharedWords)
+    lazy val embdiO: EmbDI.Result = EmbDI.run(relations, embdiOConfig)
+    lazy val embdiS: EmbDI.Result = EmbDI.run(relations, pairConfig(Tokenization.Simple, shared, sharedWords))
+    lazy val embdiF: EmbDI.Result = EmbDI.run(relations, pairConfig(Tokenization.Flatten, shared, sharedWords))
 
     private lazy val corpusTokens: Long =
       RandomWalker.corpusTokensRule(embdiO.nDistinctValues,
         scenario.nRows1 + scenario.nRows2, params.corpusFactor)
 
-    lazy val basic: EmbeddingModel =
-      BasicEmbeddings.train(relations, BasicEmbeddings.Config(
-        corpusTokens = corpusTokens, strategy = Tokenization.Overlap(shared),
-        w2v = w2v(), seed = params.seed))
-
-    lazy val node2vec: EmbeddingTrainer.Trained =
-      EmbeddingTrainer.walkThenTrain(Node2VecWalker.corpus(embdiO.graph,
-        Node2VecWalker.N2VConfig(walkLength = params.walkLength,
-          corpusTokens = corpusTokens, seed = params.seed)), w2v())
-
-    lazy val harp: EmbeddingTrainer.Trained =
-      Harp.train(embdiO.graph, Harp.Config(
-        levels = 2, corpusTokens = corpusTokens, walkLength = params.walkLength,
-        w2v = w2v(), seed = params.seed))
+    /** The baselines' corpora, each trained as EmbDI's is. */
+    private def trained(corpus: => Array[Array[String]]) = EmbeddingTrainer.walkThenTrain(corpus, w2v())
+    lazy val basic: EmbeddingTrainer.Trained = trained(BasicEmbeddings.corpus(relations,
+      BasicEmbeddings.Config(corpusTokens, Tokenization.Overlap(shared), seed = params.seed)))
+    lazy val node2vec: EmbeddingTrainer.Trained = trained(Node2VecWalker.corpus(embdiO.graph,
+      Node2VecWalker.N2VConfig(params.walkLength, corpusTokens, seed = params.seed)))
+    lazy val harp: EmbeddingTrainer.Trained = trained(Harp.corpus(embdiO.graph,
+      Harp.Config(corpusTokens, params.walkLength, seed = params.seed)))
 
     lazy val pretrained: EmbeddingModel =
       PretrainedEmbeddings.forDatasets(relations, Tokenization.Overlap(shared), params.dim)
@@ -122,6 +115,9 @@ object Bench {
       new Bundle(Scenarios.generate(spark, Scenarios.byShorthand(shorthand))))
   }
 
+  /** A table's rows and its lines as `bench/results/<table>.txt` holds them. */
+  final case class Table[R](rows: Seq[R], lines: Seq[String])
+
   // ----------------------------------------------------------------- Table 1
 
   final case class Table1Row(shorthand: String, tuples: Long, columns: Int,
@@ -132,18 +128,19 @@ object Bench {
       f"${matches}%8d ${sentences}%10d ${overlapPct}%7.2f"
   }
 
-  def table1Row(b: Bundle): Table1Row = {
-    val sc = b.scenario
-    val distinct = b.embdiO.nDistinctValues
-    val overlap =
-      if (sc.config.singleTable) Double.NaN
-      else b.shared.size.toDouble / distinct * 100.0
-    // #columns = distinct attributes overall (aligned pairs counted once).
-    val nCols =
-      if (sc.config.singleTable) sc.columns1.size
-      else sc.columns1.size + sc.columns2.size - sc.colMatches.size
-    Table1Row(b.shorthand, sc.nRows1 + sc.nRows2, nCols,
-      distinct, b.groundTruth.size, b.embdiO.nSentences, overlap)
+  def table1(bs: Seq[Bundle]): Table[Table1Row] = {
+    val rows = bs.map { b =>
+      val (sc, distinct) = (b.scenario, b.embdiO.nDistinctValues)
+      val overlap = if (sc.config.singleTable) Double.NaN else b.shared.size.toDouble / distinct * 100.0
+      // #columns = distinct attributes overall (aligned pairs counted once).
+      val nCols = sc.columns1.size +
+        (if (sc.config.singleTable) 0 else sc.columns2.size - sc.colMatches.size)
+      Table1Row(b.shorthand, sc.nRows1 + sc.nRows2, nCols,
+        distinct, b.groundTruth.size, b.embdiO.nSentences, overlap)
+    }
+    val header = f"${"DS"}%-4s ${"tuples"}%8s ${"cols"}%4s ${"distinct"}%9s " +
+      f"${"matches"}%8s ${"sentences"}%10s ${"overlap%"}%7s"
+    Table(rows, header +: rows.map(_.render))
   }
 
   // ----------------------------------------------------------------- Table 2
@@ -187,13 +184,21 @@ object Bench {
     def render: String = f"$shorthand%-4s $method%-9s ${scores.render}"
   }
 
-  /** Table 2 rows of one scenario: Basic, Node2Vec, Harp and EmbDI scored
-    * on the same test sets. */
-  def table2Rows(b: Bundle): Seq[QualityRow] = {
-    val tests = qualityTests(b)
-    Seq("Basic" -> b.basic, "Node2Vec" -> b.node2vec.model, "Harp" -> b.harp.model,
-        "EmbDI" -> b.embdiO.model)
-      .map { case (method, model) => QualityRow(b.shorthand, method, scoreQuality(model, tests)) }
+  /** Table 2: Basic, Node2Vec, Harp and EmbDI scored on the same test sets
+    * per scenario; the pre-trained footnote for BB and AG (§7.1 reports .33
+    * and .16 averages) where they run; each method's mean over scenarios. */
+  def table2(bs: Seq[Bundle]): Table[QualityRow] = {
+    val perScenario = bs.map { b =>
+      val tests = qualityTests(b)
+      Seq("Basic" -> b.basic.model, "Node2Vec" -> b.node2vec.model, "Harp" -> b.harp.model,
+          "EmbDI" -> b.embdiO.model)
+        .map { case (method, model) => QualityRow(b.shorthand, method, scoreQuality(model, tests)) }
+    }
+    val pretrained = Seq("BB", "AG").flatMap(s => bs.find(_.shorthand == s)).map(b =>
+      QualityRow(b.shorthand, "Pretrain", scoreQuality(b.pretrained, qualityTests(b))))
+    val means = meanRow(perScenario.map(rs =>
+      FRow(rs.head.shorthand, rs.map(r => r.method -> r.scores.avg))))
+    Table(perScenario.flatten, (perScenario.flatten ++ pretrained).map(_.render) :+ means.render)
   }
 
   // ----------------------------------------------------------------- Table 3
@@ -204,6 +209,14 @@ object Bench {
       f"$shorthand%-4s " + scores.map { case (n, f) => f"$n=$f%.2f" }.mkString(" ")
   }
 
+  /** Each method's mean score over `rows`, in the rows' method order. */
+  private def meanRow(rows: Seq[FRow]): FRow = FRow("MEAN", rows.head.scores.map { case (m, _) =>
+    m -> rows.map(_.scores.toMap.apply(m)).sum / rows.size })
+
+  /** Rows of F-measures, then their means (Tables 3 and 4). */
+  private def fTable(rows: Seq[FRow]): Table[FRow] =
+    Table(rows, rows.map(_.render) :+ meanRow(rows).render)
+
   /** Schema-matching F for one method's embeddings via Algorithm 5. */
   def smScore(b: Bundle, model: EmbeddingModel): PRF = {
     val got = SchemaMatcher.toColumnPairs(SchemaMatcher.matchCids(model,
@@ -212,28 +225,18 @@ object Bench {
     Metrics.prf(got, b.scenario.colMatches.toSet)
   }
 
-  def smBase(b: Bundle): PRF =
-    Metrics.prf(SchemaMatcher.matchBase(b.relations(0), b.relations(1)).toSet,
-      b.scenario.colMatches.toSet)
-
-  def smSeepP(b: Bundle): PRF =
-    Metrics.prf(Seep.runPretrained(b.relations(0), b.relations(1)).toSet,
-      b.scenario.colMatches.toSet)
-
-  def smSeepL(b: Bundle): PRF =
-    Metrics.prf(Seep.runLocal(b.relations(0), b.relations(1), b.embdiO.model,
-      Tokenization.Overlap(b.shared)).toSet,
-      b.scenario.colMatches.toSet)
-
-  def table3Row(b: Bundle): FRow =
+  def table3(bs: Seq[Bundle]): Table[FRow] = fTable(bs.map { b =>
+    val Seq(r1, r2) = b.relations
+    def f1(got: Seq[(String, String)]) = Metrics.prf(got.toSet, b.scenario.colMatches.toSet).f1
     FRow(b.shorthand, Seq(
-      "Base"     -> smBase(b).f1,
+      "Base"     -> f1(SchemaMatcher.matchBase(r1, r2)),
       "EmbDI"    -> smScore(b, b.embdiO.model).f1,
       "Node2Vec" -> smScore(b, b.node2vec.model).f1,
       "Harp"     -> smScore(b, b.harp.model).f1,
-      "SeepP"    -> smSeepP(b).f1,
-      "SeepL"    -> smSeepL(b).f1,
+      "SeepP"    -> f1(Seep.runPretrained(r1, r2)),
+      "SeepL"    -> f1(Seep.runLocal(r1, r2, b.embdiO.model, Tokenization.Overlap(b.shared))),
     ))
+  })
 
   // ----------------------------------------------------------------- Table 4
 
@@ -253,16 +256,16 @@ object Bench {
     Metrics.prf(pairs.toSet, b.groundTruth)
   }
 
+  /** Supervised DeepER at its default 5 % of the matches as labels. */
   def deepEr(spark: SparkSession, b: Bundle, model: EmbeddingModel,
-             strategy: Tokenization.Strategy, tuned: Boolean,
-             labelFraction: Double = 0.05): PRF =
+             strategy: Tokenization.Strategy, tuned: Boolean): PRF =
     DeepER.run(spark, b.relations(0), b.relations(1), b.scenario.colMatches, model,
       strategy, b.groundTruth, b.scenario.candidates,
-      DeepER.Config(labelFraction = labelFraction, tuned = tuned, seed = params.seed))
+      DeepER.Config(tuned = tuned, seed = params.seed))
 
   /** Table 4: unsupervised ER (Algorithm 6, n_top = 10) per embedding,
     * then supervised DeepER with pre-trained vs EmbDI embeddings. */
-  def table4Row(spark: SparkSession, b: Bundle): FRow = {
+  def table4(spark: SparkSession, bs: Seq[Bundle]): Table[FRow] = fTable(bs.map { b =>
     val strat = Tokenization.Overlap(b.shared)
     FRow(b.shorthand, Seq(
       "fastText" -> erScore(spark, b, b.pretrained).f1,
@@ -276,7 +279,7 @@ object Bench {
       "DeepERPt" -> deepEr(spark, b, b.pretrained, Tokenization.Flatten, tuned = true).f1,
       "DeepERLt" -> deepEr(spark, b, b.embdiO.model, strat, tuned = true).f1,
     ))
-  }
+  })
 
   // ----------------------------------------------------------------- Table 5
 
@@ -318,18 +321,28 @@ object Bench {
 
   // ----------------------------------------------------------------- Table 6
 
+  /** EmbDI-O's G/W/E, node2vec's and HARP's W+E, and a re-read of the tables (s). */
   final case class TimingRow(shorthand: String, graphMs: Long, walkMs: Long,
-                             trainMs: Long, n2vMs: Long, harpMs: Long) {
+                             trainMs: Long, n2vMs: Long, harpMs: Long, readS: Double) {
     def render: String =
       f"$shorthand%-4s G=${graphMs / 1000.0}%7.1f W=${walkMs / 1000.0}%7.1f " +
       f"E=${trainMs / 1000.0}%7.1f W+E=${(walkMs + trainMs) / 1000.0}%7.1f " +
-      f"N2V=${n2vMs / 1000.0}%8.1f HARP=${harpMs / 1000.0}%8.1f"
+      f"N2V=${n2vMs / 1000.0}%8.1f HARP=${harpMs / 1000.0}%8.1f read=$readS%5.2f"
   }
 
-  def timingRow(b: Bundle): TimingRow = {
-    val t = b.embdiO.timings
-    TimingRow(b.shorthand, t.graphMs, t.walkMs, t.trainMs,
-      b.node2vec.walkMs + b.node2vec.trainMs,
-      b.harp.walkMs + b.harp.trainMs)
+  /** Table 6: the timing rows, then the G/W/E shares of their total. */
+  def table6(bs: Seq[Bundle]): Table[TimingRow] = {
+    val rows = bs.map { b =>
+      val t = b.embdiO.timings
+      val n2vMs = b.node2vec.walkMs + b.node2vec.trainMs
+      val harpMs = b.harp.walkMs + b.harp.trainMs
+      val t0 = System.nanoTime()
+      b.tables.foreach(Relation.read)
+      TimingRow(b.shorthand, t.graphMs, t.walkMs, t.trainMs, n2vMs, harpMs, (System.nanoTime() - t0) / 1e9)
+    }
+    val Seq(g, w, e) =
+      Seq[TimingRow => Long](_.graphMs, _.walkMs, _.trainMs).map(f => rows.map(f).sum.toDouble)
+    def pct(x: Double) = x / (g + w + e) * 100
+    Table(rows, rows.map(_.render) :+ f"SHARE G=${pct(g)}%.1f%% W=${pct(w)}%.1f%% E=${pct(e)}%.1f%%")
   }
 }

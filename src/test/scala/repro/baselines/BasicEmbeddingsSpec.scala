@@ -5,11 +5,10 @@ import repro.core.{EmbeddingTrainer, NodeNames, Tokenization}
 
 class BasicEmbeddingsSpec extends SparkSpec {
 
-  private lazy val model = BasicEmbeddings.train(TestFixtures.tinyRelations,
-    BasicEmbeddings.Config(
-      corpusTokens = 150000,
-      strategy = Tokenization.Flatten,
-      w2v = EmbeddingTrainer.W2VConfig(dim = 32, minCount = 1)))
+  private lazy val model = EmbeddingTrainer.train(
+    BasicEmbeddings.corpus(TestFixtures.tinyRelations,
+      BasicEmbeddings.Config(corpusTokens = 150000, strategy = Tokenization.Flatten)),
+    EmbeddingTrainer.W2VConfig(dim = 32, minCount = 1))
 
   test("Basic learns token vectors") {
     assert(model.words.count(NodeNames.isToken) > 50)

@@ -42,9 +42,9 @@ class HarpSpec extends SparkSpec {
   }
 
   test("train produces embeddings for fine-level node names") {
-    val res = Harp.train(graph,
-      Harp.Config(levels = 2, corpusTokens = 60000, walkLength = 10,
-        w2v = EmbeddingTrainer.W2VConfig(dim = 16, minCount = 1)))
+    val res = EmbeddingTrainer.walkThenTrain(
+      Harp.corpus(graph, Harp.Config(corpusTokens = 60000, walkLength = 10)),
+      EmbeddingTrainer.W2VConfig(dim = 16, minCount = 1))
     // supernode names (h1__/h2__) must not leak into the model vocabulary
     assert(!res.model.words.exists(_.startsWith("h1__")))
     assert(!res.model.words.exists(_.startsWith("h2__")))
@@ -55,7 +55,7 @@ class HarpSpec extends SparkSpec {
   }
 
   test("train over a graph with no start nodes is rejected, not divided by zero") {
-    val e = intercept[IllegalArgumentException](Harp.train(CompactGraph.build(Seq.empty), Harp.Config()))
+    val e = intercept[IllegalArgumentException](Harp.corpus(CompactGraph.build(Seq.empty), Harp.Config()))
     assert(e.getMessage.contains("no start nodes"))
   }
 }

@@ -78,6 +78,15 @@ class AlignmentSpec extends AnyFunSuite {
     assert(aligned.contains("shared"))
   }
 
+  test("align keeps every word of both inputs when an anchor's A and B names differ") {
+    val modelA = EmbeddingModel(Seq("r1" -> Array(1f, 0f), "a" -> Array(0f, 1f)))
+    val modelB = EmbeddingModel(Seq("r2" -> Array(0f, 1f), "b" -> Array(1f, 0f)))
+    val aligned = Alignment.align(modelA, modelB, Seq(("r1", "r2")))
+    assert(aligned.words.sorted.toSeq == Seq("a", "b", "r1", "r2"))
+    // The B partner of an anchor keeps its own vector.
+    assert(aligned.vector("r2").get.toSeq == modelB.vector("r2").get.toSeq)
+  }
+
   test("align fails with no usable anchors") {
     val modelA = EmbeddingModel(Seq("a" -> Array(1f, 0f)))
     val modelB = EmbeddingModel(Seq("b" -> Array(0f, 1f)))

@@ -27,11 +27,24 @@ class RandomWalkerSpec extends SparkSpec {
     val rng = new Random(2)
     val start = graph.index("ipad")
     (0 until 30).foreach { _ =>
-      val w = walkFrom(graph, start, WalkConfig(walkLength = 5, firstStepOrCid = false), rng)
+      val w = walkFrom(graph, start, WalkConfig(walkLength = 5), rng)
       assert(graph.isRid(w(0)), s"first node ${graph.names(w(0))} not a RID")
       assert(w(1) == start)
       assert(graph.hasEdge(w(0), w(1)))
     }
+  }
+
+  test("the first step from a token is a RID under AllNodes, a RID or CID under OverlapTokens (§5.1)") {
+    val start = graph.index("ipad")
+    def firstKinds(strategy: StartStrategy): Set[Int] =
+      (0 until 60).map { i =>
+        val w = walkFrom(graph, start, WalkConfig(walkLength = 5, startStrategy = strategy),
+          new Random(i))
+        assert(w(1) == start && graph.hasEdge(w(0), start))
+        graph.types(w(0)).toInt
+      }.toSet
+    assert(firstKinds(AllNodes) == Set(1))
+    assert(firstKinds(OverlapTokens(Set("ipad"))) == Set(1, 2))
   }
 
   test("walkFrom from a RID does not prepend") {

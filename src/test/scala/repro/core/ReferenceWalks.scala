@@ -13,7 +13,10 @@ import scala.util.Random
   * corpus as it was built on RDDs before `BasicEmbeddings.corpus`. Kept as
   * the reference that [[WalkEngineSpec]] checks the new drivers against. The
   * walk-stepping code is copied too, so a change there shows as well. The
-  * removed config fields (`numPartitions`, `firstStepRid`) are arguments.
+  * removed config fields (`numPartitions`, `firstStepRid`) are arguments;
+  * the removed `firstStepOrCid` is derived from the start strategy, as
+  * `RandomWalker` derives it, and HARP's level count and Basic's corpus
+  * split are the drivers' constants.
   */
 object ReferenceWalks {
 
@@ -23,7 +26,8 @@ object ReferenceWalks {
                        firstStepRid: Boolean, rng: Random): Array[Int] = {
     val out = new ArrayBuffer[Int](cfg.walkLength)
     if (firstStepRid && graph.isToken(start))
-      out += graph.randomNeighborOfKind(start, rng, orCid = cfg.firstStepOrCid)
+      out += graph.randomNeighborOfKind(start, rng,
+        orCid = cfg.startStrategy.isInstanceOf[RandomWalker.OverlapTokens])
     out += start
     var cur = start
     while (out.length < cfg.walkLength) {
@@ -123,7 +127,7 @@ object ReferenceWalks {
     var graphs = List((g0, Array.tabulate(g0.numNodes)(identity)))
     var fineToLevel = Array.tabulate(g0.numNodes)(identity)
     var cur = g0
-    (1 to cfg.levels).foreach { lvl =>
+    (1 to Harp.Levels).foreach { lvl =>
       val (coarse, m) = Harp.coarsen(cur, lvl, cfg.seed + lvl)
       fineToLevel = Array.tabulate(g0.numNodes)(u => m(fineToLevel(u)))
       graphs = graphs :+ ((coarse, fineToLevel.clone()))
@@ -181,7 +185,7 @@ object ReferenceWalks {
     val nRows = rows.count()
     val avgRowLen = math.max(2.0, rows.map(_._4.size + 1).sum() / math.max(1L, nRows).toDouble)
 
-    val rowBudgetTokens = (cfg.corpusTokens * cfg.rowFraction).toLong
+    val rowBudgetTokens = (cfg.corpusTokens * BasicEmbeddings.RowFraction).toLong
     val permsPerRow = math.max(1L, (rowBudgetTokens / avgRowLen / math.max(1L, nRows)).toLong).toInt
 
     val rowSentences = rows.flatMap { case (rid, _, _, toks) =>
@@ -205,12 +209,12 @@ object ReferenceWalks {
 
     val attrBudgetTokens = cfg.corpusTokens - rowBudgetTokens
     val perAttr = math.max(1L,
-      attrBudgetTokens / (cfg.attrSentenceLen + 1) / math.max(1, domains.size)).toInt
+      attrBudgetTokens / (BasicEmbeddings.AttrSentenceLen + 1) / math.max(1, domains.size)).toInt
     val attrSentences = spark.sparkContext.parallelize(domains.toIndexedSeq)
       .flatMap { case (cid, dom) =>
         (0 until perAttr).iterator.map { s =>
           val rng = repro.core.Rand.of(cfg.seed, cid.hashCode.toLong, s.toLong)
-          (cid +: Array.fill(cfg.attrSentenceLen)(dom(rng.nextInt(dom.size)))).toArray
+          (cid +: Array.fill(BasicEmbeddings.AttrSentenceLen)(dom(rng.nextInt(dom.size)))).toArray
         }
       }
 

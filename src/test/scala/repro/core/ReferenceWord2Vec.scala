@@ -7,7 +7,7 @@ import org.apache.spark.sql.DataFrame
   * MLlib's `ml.feature.Word2Vec` (skip-gram, hierarchical softmax). Kept as
   * the reference that [[EmbeddingTrainerSpec]] compares the new trainer's
   * downstream quality against. The removed config field `numPartitions` is
-  * an argument.
+  * an argument; the step size is the trainer's constant.
   */
 object ReferenceWord2Vec {
 
@@ -20,7 +20,7 @@ object ReferenceWord2Vec {
       .setWindowSize(cfg.window)
       .setMinCount(cfg.minCount)
       .setMaxIter(cfg.maxIter)
-      .setStepSize(cfg.stepSize)
+      .setStepSize(EmbeddingTrainer.StepSize)
       .setNumPartitions(numPartitions)
       .setSeed(cfg.seed)
     val model = w2v.fit(corpus)

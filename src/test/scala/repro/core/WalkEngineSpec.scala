@@ -17,22 +17,23 @@ class WalkEngineSpec extends SparkSpec {
   private lazy val graph: CompactGraph = TestFixtures.tinyEmbDI.graph
 
   test("EmbDI corpora equal the old driver's under every start, first-step and replacement option") {
+    // The first step is derived from the start strategy (RID-or-CID under
+    // overlap starts), so the two strategies cover both first-step pickers.
     val shared = RandomWalker.OverlapTokens(TestFixtures.tinyShared)
     assert(RandomWalker.startNodes(graph, shared).nonEmpty)
     // Shared and unshared tokens alike, so replacement fires mid-walk too.
     val replaced = graph.nodeIdsOfType(0).map(graph.names).grouped(3).map(_.head).toSeq
     for {
       start <- Seq(RandomWalker.AllNodes, shared)
-      orCid <- Seq(false, true)
       p     <- Seq(0.0, 0.5, 1.0)
     } {
       val cfg = RandomWalker.WalkConfig(walkLength = 15, corpusTokens = 20000,
-        startStrategy = start, firstStepOrCid = orCid,
-        replacements = replaced.map(t => t -> (s"$t~", p)).toMap, seed = 17L)
+        startStrategy = start, replacements = replaced.map(t => t -> (s"$t~", p)).toMap,
+        seed = 17L)
       val got = rows(RandomWalker.sentences(graph, cfg))
       assert(got.nonEmpty)
       assert(got == rows(ReferenceWalks.embdi(spark, graph, cfg)),
-        s"start=${start.getClass.getSimpleName} orCid=$orCid p=$p")
+        s"start=${start.getClass.getSimpleName} p=$p")
     }
   }
 
@@ -44,16 +45,14 @@ class WalkEngineSpec extends SparkSpec {
     }
   }
 
-  test("HARP's combined corpus equals the old per-level loop at 0, 1 and 2 levels") {
+  test("HARP's combined corpus equals the old per-level loop at its two levels") {
     import spark.implicits._
     val df = (0L until 40L).map(i => (i, s"t${i % 11}", s"u${i % 7}")).toDF("__rid", "a", "b")
     val g0 = CompactGraph.fromEdges(TripartiteGraph.edges(spark, Seq(df), Tokenization.Simple))
-    Seq(0, 1, 2).foreach { levels =>
-      val cfg = Harp.Config(levels = levels, corpusTokens = 6000, walkLength = 10)
-      val got = rows(Harp.corpus(g0, cfg))
-      assert(got.nonEmpty)
-      assert(got == rows(ReferenceWalks.harp(spark, g0, cfg)), s"levels=$levels")
-    }
+    val cfg = Harp.Config(corpusTokens = 6000, walkLength = 10)
+    val got = rows(Harp.corpus(g0, cfg))
+    assert(got.nonEmpty)
+    assert(got == rows(ReferenceWalks.harp(spark, g0, cfg)))
   }
 
   test("Basic's corpus equals the old RDD corpus under Flatten and Overlap") {

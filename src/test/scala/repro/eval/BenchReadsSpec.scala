@@ -11,12 +11,12 @@ class BenchReadsSpec extends SparkSpec {
     // A bundle of its own, outside Bench's cache, so no earlier read is reused.
     val b = new Bench.Bundle(Scenarios.generate(spark, Scenarios.tiny))
     val (counts, reads) = SparkJobs.countReads(spark) {
-      Bench.table1Row(b); Bench.table2Rows(b); Bench.table3Row(b); Bench.table5Rows(spark, b)
+      Bench.table1(Seq(b)); Bench.table2(Seq(b)); Bench.table3(Seq(b)); Bench.table5Rows(spark, b)
     }
     assert(counts.jobs == 3, s"${counts.jobs} Spark jobs for d1, d2 and the ground truth")
     assert(reads.size == 3, reads.mkString("\n"))
     // Table 4 reads nothing more: DeepER's MLlib jobs run on local frames.
-    val table4Reads = SparkJobs.countReads(spark)(Bench.table4Row(spark, b))._2
+    val table4Reads = SparkJobs.countReads(spark)(Bench.table4(spark, Seq(b)))._2
     assert(table4Reads.isEmpty, table4Reads.mkString("\n"))
   }
 }
