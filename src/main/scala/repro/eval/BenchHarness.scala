@@ -67,7 +67,7 @@ object Bench {
     private val cfg = scenario.config
     def shorthand: String = cfg.shorthand
 
-    /** d1, and d2 for a dataset pair; and each of them read once. */
+    /** d1, and d2 for a dataset pair. */
     def tables: Seq[DataFrame] = if (cfg.singleTable) Seq(scenario.d1) else Seq(scenario.d1, scenario.d2)
     lazy val relations: Seq[Relation] = tables.map(Relation.read)
 
