@@ -6,7 +6,7 @@ import repro.SparkSpec
 import repro.core._
 import repro.data.Scenarios
 import repro.eval.Bench
-import repro.integration.{EntityResolver, Metrics, SchemaMatcher}
+import repro.integration.EntityResolver
 
 /** §7.3 ablations, reported as numbers (figures are out of scope):
   *
@@ -115,8 +115,8 @@ class AblationBench extends SparkSpec {
       // Each NULL-injected table is read once; EmbDI-O as the bundle
       // configures it, over these tables' shared values and words.
       val Seq(r1, r2) = Seq(e1, e2).map(Relation.read)
-      val shared = Tokenization.sharedValues(r1, r2, sigFigs = 4)
-      val words = Tokenization.sharedTokens(r1, r2, Tokenization.Flatten, sigFigs = 4)
+      val shared = Tokenization.sharedValues(r1, r2)
+      val words = Tokenization.sharedTokens(r1, r2, Tokenization.Flatten)
       val res = EmbDI.run(Seq(r1, r2),
         Bench.pairConfig(Tokenization.Overlap(shared), shared, words))
       // ER under the GT-query protocol of Tables 4 and 5; the NULL

@@ -6,19 +6,13 @@ import repro.eval.Bench
 
 import scala.collection.immutable.ListMap
 
-private object JobUtil {
-  def session(name: String): SparkSession =
-    SparkSession.builder().master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(name)
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-}
-
 /** spark-submit entrypoint for the evaluation tables: prints the lines of the
   * corresponding `repro.bench` suite through the same `Bench` functions.
   *
-  * Usage: `spark-submit --class repro.jobs.TableJob repro.jar <1-6|tm> [DS ...]`;
+  * Usage: `spark-submit --class repro.jobs.TableJob repro.jar <1-6|tm|geom> [DS ...]`;
   * scenario shorthands (any case) restrict the run to those scenarios.
+  * `geom` is a diagnostic, not a paper table: the RID-space geometry of the
+  * pre-trained stand-in and EmbDI-O (`Bench.geometry`).
   */
 object TableJob {
 
@@ -38,6 +32,7 @@ object TableJob {
     "6" -> Entry(all, all, (_, bs) => Bench.table6(bs).lines),
     // §7.2 token matching runs on the IM pair only.
     "tm" -> Entry(Seq("IM"), Seq("IM"), (_, bs) => bs.flatMap(Bench.tokenMatchingRows).map(_.render)),
+    "geom" -> Entry(pairs, Seq("IM", "BB"), (_, bs) => bs.flatMap(Bench.geometry).map(_.render)),
   )
 
   /** The table and the scenarios to run, or why the arguments are rejected. */
@@ -53,7 +48,10 @@ object TableJob {
   def main(args: Array[String]): Unit = parse(args.toSeq) match {
     case Left(message) => System.err.println(message); sys.exit(2)
     case Right((t, scenarios)) =>
-      val spark = JobUtil.session(s"table$t")
+      val spark = SparkSession.builder().master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+        .appName(s"table$t")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
       tables(t).lines(spark, scenarios.map(Bench.bundle(spark, _))).foreach(println)
       spark.stop()
   }

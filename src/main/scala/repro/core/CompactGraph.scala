@@ -96,9 +96,7 @@ object CompactGraph {
     pairs.foreach { case (a, b) => nameSet += a; nameSet += b }
     val names = nameSet.toArray.sorted // sorted ⇒ deterministic node ids
     val index = names.zipWithIndex.toMap
-    val types = names.map { n =>
-      if (NodeNames.isRid(n)) 1.toByte else if (NodeNames.isCid(n)) 2.toByte else 0.toByte
-    }
+    val types = names.map(NodeNames.kind)
     val deg = new Array[Int](names.length)
     val sym = new Array[Long](pairs.length * 2)
     var p = 0

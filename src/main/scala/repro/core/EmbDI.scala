@@ -10,13 +10,15 @@ object EmbDI {
 
   final case class Config(
       strategy: Tokenization.Strategy = Tokenization.Flatten,
-      sigFigs: Int = 4,
       walk: RandomWalker.WalkConfig = RandomWalker.WalkConfig(),
       w2v: EmbeddingTrainer.W2VConfig = EmbeddingTrainer.W2VConfig(),
       /** Corpus-size rule factor; when > 0 overrides `walk.corpusTokens`
         * with `(#distinct values + #rows) * factor` (§7.3). */
       corpusFactor: Long = 100L,
-  )
+  ) {
+    /** Significant figures of numeric cells: always [[Tokenization.SigFigs]]. */
+    def sigFigs: Int = Tokenization.SigFigs
+  }
 
   final case class Timings(graphMs: Long, walkMs: Long, trainMs: Long)
 
@@ -37,21 +39,24 @@ object EmbDI {
   /** Resolve an `Overlap` strategy that was constructed with an empty shared
     * set by computing the shared values of the first two relations (read
     * only then). */
-  private def resolveStrategy(relations: => Seq[Relation], strategy: Tokenization.Strategy,
-                              sigFigs: Int): Tokenization.Strategy =
+  private def resolveStrategy(relations: => Seq[Relation],
+                              strategy: Tokenization.Strategy): Tokenization.Strategy =
     strategy match {
       case Tokenization.Overlap(s) if s.isEmpty => relations match {
-        case r1 +: r2 +: _ => Tokenization.Overlap(Tokenization.sharedValues(r1, r2, sigFigs))
+        case r1 +: r2 +: _ => Tokenization.Overlap(Tokenization.sharedValues(r1, r2))
         case _ => strategy
       }
       case other => other
     }
 
   /** [[resolveStrategy]] over datasets, each read once if the shared set is
-    * needed. */
+    * needed. `sigFigs` must be [[Tokenization.SigFigs]]. */
   def resolveStrategy(spark: SparkSession, datasets: Seq[DataFrame],
-                      strategy: Tokenization.Strategy, sigFigs: Int): Tokenization.Strategy =
-    resolveStrategy(datasets.map(Relation.read), strategy, sigFigs)
+                      strategy: Tokenization.Strategy, sigFigs: Int): Tokenization.Strategy = {
+    require(sigFigs == Tokenization.SigFigs,
+      s"cells are rounded to ${Tokenization.SigFigs} significant figures, not $sigFigs")
+    resolveStrategy(datasets.map(Relation.read), strategy)
+  }
 
   /** Check that no `__rid` occurs twice across `relations` and none is NULL
     * (two rows with one id would silently merge into one RID node). */
@@ -77,12 +82,11 @@ object EmbDI {
 
     val (graph, graphMs) = timed {
       requireUniqueRids(relations)
-      TripartiteGraph.build(relations, resolveStrategy(relations, cfg.strategy, cfg.sigFigs),
-        cfg.sigFigs)
+      TripartiteGraph.build(relations, resolveStrategy(relations, cfg.strategy))
     }
 
     // Input statistics for the corpus-size rule, from the relations above.
-    val nDistinct = relations.map(Tokenization.values(_, cfg.sigFigs)).reduce(_ ++ _).size.toLong
+    val nDistinct = relations.map(Tokenization.values).reduce(_ ++ _).size.toLong
     val nRows = relations.map(_.nRows.toLong).sum
     val corpusTokens =
       if (cfg.corpusFactor > 0) RandomWalker.corpusTokensRule(nDistinct, nRows, cfg.corpusFactor)

@@ -2,7 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-/** Cell-value tokenization strategies of §5.5 / §7.2.
+/** Cell-value tokenization strategies of §5.5 / §7.2, applied to cells in
+  * the §4.1 normal form ([[normalize]]) that [[Relation.read]] stores.
   *
   *  - [[Tokenization.Simple]]   (EmbDI-S): the whole cell value is one token
   *    node ("iPad 4th 2012" → `ipad_4th_2012`).
@@ -21,51 +22,41 @@ object Tokenization {
     * datasets (computed once via [[sharedValues]]). */
   final case class Overlap(shared: Set[String]) extends Strategy { val name = "EmbDI-O" }
 
+  /** Significant figures numeric cells are rounded to (§4.1 leaves the
+    * number to the user; every table here uses four). */
+  val SigFigs = 4
+
   /** Canonical form of a whole cell value: trimmed, lower-cased, inner
     * whitespace collapsed to single `_`. Numeric strings are rounded to
-    * `sigFigs` significant figures per §4.1 ("numerical values are rounded
-    * to a number of significant figures decided by the user"). */
-  def normalize(raw: String, sigFigs: Int = 4): Option[String] = {
+    * [[SigFigs]] significant figures per §4.1. */
+  def normalize(raw: String): Option[String] = {
     if (raw == null) return None
     val t = raw.trim.toLowerCase
     if (t.isEmpty) None
     else Numerics.parseNumeric(t) match {
-      case Some(d) => Some(Numerics.roundSig(d, sigFigs))
+      case Some(d) => Some(Numerics.roundSig(d, SigFigs))
       case None    => Some(t.split("\\s+").mkString("_"))
     }
   }
 
-  /** Words of a (already trimmed, lower-cased) cell. */
+  /** Words of a normalized cell. */
   private def words(norm: String): Seq[String] =
     norm.split('_').toIndexedSeq.filter(_.nonEmpty)
 
-  /** Prepended to a whole-cell token that starts with a RID or CID prefix,
-    * or with this marker itself, so that node kinds read from name prefixes
-    * stay right: the cell `idx__0` is the token `tok__idx__0`, not RID 0.
-    * The rule is injective. Words hold no `_`, so they never need it. */
-  private val EscapeMarker = "tok__"
-
-  private def tokenName(norm: String): String =
-    if (norm.startsWith(NodeNames.RidPrefix) || norm.startsWith(NodeNames.CidPrefix) ||
-        norm.startsWith(EscapeMarker)) EscapeMarker + norm else norm
-
-  /** Token node names for one cell under the given strategy. */
-  def tokens(raw: String, strategy: Strategy, sigFigs: Int = 4): Seq[String] =
-    normalize(raw, sigFigs) match {
-      case None => Seq.empty
-      case Some(norm) =>
-        strategy match {
-          case Simple          => Seq(tokenName(norm))
-          case Flatten         => words(norm)
-          case Overlap(shared) =>
-            val whole = tokenName(norm)
-            if (shared.contains(whole)) Seq(whole) else words(norm)
-        }
+  /** Token node names of one normalized cell (`null` gives none) under the
+    * given strategy. */
+  def tokens(cell: String, strategy: Strategy): Seq[String] =
+    if (cell == null) Seq.empty
+    else strategy match {
+      case Simple          => Seq(NodeNames.token(cell))
+      case Flatten         => words(cell)
+      case Overlap(shared) =>
+        val whole = NodeNames.token(cell)
+        if (shared.contains(whole)) Seq(whole) else words(cell)
     }
 
-  /** Normalized values of every cell of `rel`; NULL and blank cells give none. */
-  def values(rel: Relation, sigFigs: Int): Set[String] =
-    rel.allCells.flatMap(normalize(_, sigFigs)).toSet
+  /** Distinct normalized cells of `rel`. */
+  def values(rel: Relation): Set[String] = rel.allCells.toSet
 
   /** Per data column of `rel`, its distinct token names under `strategy`, in
     * row order: the attribute domains of the baselines and quality tests. */
@@ -75,29 +66,30 @@ object Tokenization {
   /** Whole-cell values occurring in both relations, as token names (escaped
     * like [[tokens]] does) — the EmbDI-O bridge set, part of the §5.1 start
     * set and the overlap statistic of Table 1. */
-  def sharedValues(r1: Relation, r2: Relation, sigFigs: Int): Set[String] =
-    values(r1, sigFigs).intersect(values(r2, sigFigs)).map(tokenName)
+  def sharedValues(r1: Relation, r2: Relation): Set[String] =
+    values(r1).intersect(values(r2)).map(NodeNames.token)
 
   /** Token names (under `strategy`) occurring in both relations — the walk
     * start set of the §5.1 overlap heuristic. */
-  def sharedTokens(r1: Relation, r2: Relation, strategy: Strategy, sigFigs: Int): Set[String] = {
-    def names(rel: Relation) = rel.allCells.flatMap(tokens(_, strategy, sigFigs)).toSet
+  def sharedTokens(r1: Relation, r2: Relation, strategy: Strategy): Set[String] = {
+    def names(rel: Relation) = rel.allCells.flatMap(tokens(_, strategy)).toSet
     names(r1).intersect(names(r2))
   }
 
   /** [[sharedValues]] of two datasets, each read once. */
-  def sharedValues(spark: SparkSession, d1: DataFrame, d2: DataFrame,
-                   sigFigs: Int = 4): Set[String] =
-    sharedValues(Relation.read(d1), Relation.read(d2), sigFigs)
+  def sharedValues(spark: SparkSession, d1: DataFrame, d2: DataFrame): Set[String] =
+    sharedValues(Relation.read(d1), Relation.read(d2))
 
   /** [[sharedTokens]] of two datasets, each read once. */
   def sharedTokens(spark: SparkSession, d1: DataFrame, d2: DataFrame,
-                   strategy: Strategy, sigFigs: Int = 4): Set[String] =
-    sharedTokens(Relation.read(d1), Relation.read(d2), strategy, sigFigs)
+                   strategy: Strategy): Set[String] =
+    sharedTokens(Relation.read(d1), Relation.read(d2), strategy)
 
-  /** [[values]] of one dataset as a one-column DataFrame `value`. */
-  def distinctValues(spark: SparkSession, df: DataFrame, sigFigs: Int = 4): DataFrame = {
+  /** [[values]] of one dataset as a one-column DataFrame `value`. `sigFigs`
+    * must be [[SigFigs]]. */
+  def distinctValues(spark: SparkSession, df: DataFrame, sigFigs: Int = SigFigs): DataFrame = {
+    require(sigFigs == SigFigs, s"cells are rounded to $SigFigs significant figures, not $sigFigs")
     import spark.implicits._
-    values(Relation.read(df), sigFigs).toSeq.toDF("value")
+    values(Relation.read(df)).toSeq.toDF("value")
   }
 }

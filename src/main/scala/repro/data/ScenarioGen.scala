@@ -3,7 +3,6 @@ package repro.data
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 
-import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
 /** Universal attribute kinds a scenario column can draw from.

@@ -73,12 +73,12 @@ object Bench {
 
     lazy val shared: Set[String] =
       if (cfg.singleTable) Set.empty
-      else Tokenization.sharedValues(relations(0), relations(1), sigFigs = 4)
+      else Tokenization.sharedValues(relations(0), relations(1))
 
     /** Word-level shared tokens (bridge set under Flatten tokenization). */
     lazy val sharedWords: Set[String] =
       if (cfg.singleTable) Set.empty
-      else Tokenization.sharedTokens(relations(0), relations(1), Tokenization.Flatten, sigFigs = 4)
+      else Tokenization.sharedTokens(relations(0), relations(1), Tokenization.Flatten)
 
     /** The default EmbDI configuration: EmbDI-O, with §5.1 overlap starts for a pair. */
     lazy val embdiOConfig: EmbDI.Config = pairConfig(Tokenization.Overlap(shared), shared, sharedWords)
@@ -318,6 +318,37 @@ object Bench {
         f1(TokenMatcher.matchByJaccard(dom1, dom2)),
         f1(TokenMatcher.matchByEmbedding(b.embdiO.model, dom1, dom2)), gt.size)
     }.toSeq
+
+  // ------------------------------------------------------------ geometry
+
+  /** The RID-space geometry behind ER, per model: the mean cosine of the
+    * ground-truth duplicate pairs and of 2,000 random D1 × D2 pairs, and of
+    * the first 100 ground-truth pairs, how many have the match as the
+    * query's nearest D2 RID. */
+  final case class GeomRow(shorthand: String, model: String, gtCos: Double,
+                           randCos: Double, top1Hits: Int) {
+    def render: String =
+      f"$shorthand%-4s $model%-10s gtCos=$gtCos%.3f randCos=$randCos%.3f top1hit=$top1Hits%d/100"
+  }
+
+  /** [[GeomRow]]s of the pre-trained stand-in and EmbDI-O on a dataset pair. */
+  def geometry(b: Bundle): Seq[GeomRow] =
+    Seq("Pretrain" -> b.pretrained, "EmbDI-O" -> b.embdiO.model).map { case (name, m) =>
+      def cos(a: Long, c: Long): Option[Double] = m.cosine(NodeNames.rid(a), NodeNames.rid(c))
+      def mean(xs: Seq[Double]): Double = xs.sum / xs.size
+      val gt = b.groundTruth.toSeq.sorted
+      val (r1, r2) = (b.ridRange1, b.ridRange2)
+      val rng = new scala.util.Random(1)
+      val randCos = (0 until 2000).flatMap { _ =>
+        cos(r1._1 + rng.nextLong(r1._2 - r1._1), r2._1 + rng.nextLong(r2._2 - r2._1))
+      }
+      val rids2 = (r2._1 until r2._2).map(NodeNames.rid).filter(m.contains)
+      val queries = gt.take(100).filter(p => m.contains(NodeNames.rid(p._1))).toIndexedSeq
+      val best = NearestNeighbors.rankNames(m, queries.map(p => NodeNames.rid(p._1)), rids2, 1)
+      val hits = queries.indices.count(q =>
+        best(q).headOption.exists(i => rids2(i) == NodeNames.rid(queries(q)._2)))
+      GeomRow(b.shorthand, name, mean(gt.flatMap { case (a, c) => cos(a, c) }), mean(randCos), hits)
+    }
 
   // ----------------------------------------------------------------- Table 6
 

@@ -24,18 +24,14 @@ object QualityTests {
   final case class Tokenized(
       columnDomains: Map[String, IndexedSeq[String]],
       rowTokens: IndexedSeq[IndexedSeq[String]],
-      /** raw normalized cell value per (row, column) for MC grouping */
-      cells: IndexedSeq[Map[String, String]],
+      /** the relation itself, whose normalized cells MC groups rows by */
+      relation: Relation,
   )
 
   def tokenize(rel: Relation, strategy: Tokenization.Strategy): Tokenized = {
-    val cells = rel.cells.map { row =>
-      rel.columns.indices.flatMap(j => Tokenization.normalize(row(j)).map(rel.columns(j) -> _))
-        .toMap
-    }.toIndexedSeq
     val rowToks = rel.cells.map(_.toIndexedSeq.flatMap(Tokenization.tokens(_, strategy)).distinct)
       .toIndexedSeq
-    Tokenized(Tokenization.columnTokens(rel, strategy).toMap, rowToks, cells)
+    Tokenized(Tokenization.columnTokens(rel, strategy).toMap, rowToks, rel)
   }
 
   /** [[tokenize]] of a dataset, read once. */
@@ -98,15 +94,18 @@ object QualityTests {
     val rng = new Random(seed)
     // group rows by their oneCol value, per dataset
     val groups: Seq[(String, IndexedSeq[String])] = data.flatMap { t =>
+      val rel = t.relation
+      // A row's cell in the first of `cols` (in set order) it holds one in.
+      def firstCell(cols: Set[String]): Array[String] => Option[String] = {
+        val js = cols.toSeq.map(rel.columns.indexOf).filter(_ >= 0)
+        row => js.find(row(_) != null).map(row)
+      }
+      val (oneCell, manyCell) = (firstCell(oneCols), firstCell(manyCols))
       val byKey = scala.collection.mutable.Map.empty[String, scala.collection.mutable.ArrayBuffer[String]]
-      t.cells.foreach { row =>
-        for {
-          oc <- oneCols.intersect(row.keySet).headOption
-          mc <- manyCols.intersect(row.keySet).headOption
-        } {
-          val toks = Tokenization.tokens(row(mc).replace('_', ' '), strategy)
-          byKey.getOrElseUpdate(row(oc), scala.collection.mutable.ArrayBuffer.empty) ++= toks
-        }
+      rel.cells.foreach { row =>
+        for (oc <- oneCell(row); mc <- manyCell(row))
+          byKey.getOrElseUpdate(oc, scala.collection.mutable.ArrayBuffer.empty) ++=
+            Tokenization.tokens(mc, strategy)
       }
       byKey.toSeq.map { case (k, v) => k -> v.distinct.toIndexedSeq }
     }

@@ -106,8 +106,5 @@ object SchemaMatcher {
 
   /** Convert CID-node matches back to plain column names. */
   def toColumnPairs(cidMatches: Seq[(String, String)]): Seq[(String, String)] =
-    cidMatches.map { case (a, b) =>
-      (a.stripPrefix(NodeNames.CidPrefix).dropWhile(_ != '_').stripPrefix("__"),
-       b.stripPrefix(NodeNames.CidPrefix).dropWhile(_ != '_').stripPrefix("__"))
-    }
+    cidMatches.map { case (a, b) => (NodeNames.cidColumn(a), NodeNames.cidColumn(b)) }
 }

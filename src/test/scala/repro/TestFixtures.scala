@@ -32,5 +32,5 @@ object TestFixtures {
 
   /** Shared whole-cell values of the tiny scenario. */
   lazy val tinyShared: Set[String] =
-    Tokenization.sharedValues(tinyRelations(0), tinyRelations(1), sigFigs = 4)
+    Tokenization.sharedValues(tinyRelations(0), tinyRelations(1))
 }

@@ -32,7 +32,8 @@ class BasicEmbeddingsSpec extends SparkSpec {
     val own = rows.take(120).flatMap { r =>
       val rid = NodeNames.rid(r.getLong(0))
       val toks = cols.flatMap(c => Option(r.getAs[Any](c)).toSeq
-        .flatMap(v => Tokenization.tokens(v.toString, Tokenization.Flatten))).distinct
+        .flatMap(v => Tokenization.normalize(v.toString))
+        .flatMap(Tokenization.tokens(_, Tokenization.Flatten))).distinct
       toks.flatMap(t => model.cosine(rid, t))
     }
     val toks = model.words.filter(NodeNames.isToken)

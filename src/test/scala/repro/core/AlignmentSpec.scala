@@ -1,6 +1,5 @@
 package repro.core
 
-import breeze.linalg.{DenseMatrix, det}
 import org.scalatest.funsuite.AnyFunSuite
 
 import scala.util.Random

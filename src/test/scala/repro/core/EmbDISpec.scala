@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.{SparkJobs, SparkSpec, TestFixtures}
-import repro.data.Scenarios
 
 class EmbDISpec extends SparkSpec {
 

@@ -54,7 +54,8 @@ class MeltSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     import spark.implicits._
     datasets.zipWithIndex.map { case (df, i) =>
       referenceMelt(df).as[(Long, String, String)].flatMap { case (rid, c, v) =>
-        Tokenization.tokens(v, st).flatMap(t => Seq((t, NodeNames.rid(rid)), (t, NodeNames.cid(i + 1, c))))
+        Tokenization.normalize(v).toSeq.flatMap(Tokenization.tokens(_, st))
+          .flatMap(t => Seq((t, NodeNames.rid(rid)), (t, NodeNames.cid(i + 1, c))))
       }.toDF("src", "dst")
     }.reduce(_ union _).distinct().as[(String, String)].collect().toSet
   }
@@ -66,7 +67,8 @@ class MeltSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private def referenceTokens(df: DataFrame, st: Tokenization.Strategy): Set[String] = {
     import spark.implicits._
-    referenceMelt(df).select("value").as[String].flatMap(v => Tokenization.tokens(v, st)).collect().toSet
+    referenceMelt(df).select("value").as[String]
+      .flatMap(v => Tokenization.normalize(v).toSeq.flatMap(Tokenization.tokens(_, st))).collect().toSet
   }
 
   private def strings(df: DataFrame): Set[String] = df.collect().map(_.getString(0)).toSet
@@ -96,6 +98,20 @@ class MeltSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val tiny = TestFixtures.tiny
     val expected = Seq(tiny.d1, tiny.d2).map(referenceValues).reduce(_ union _).distinct().count()
     assert(TestFixtures.tinyEmbDI.nDistinctValues == expected)
+  }
+
+  test("Relation.read stores cells in normal form, NULL and blank ones as null") {
+    import spark.implicits._
+    val df = Seq((Some(0L), " iPad  4TH ", "1.2345678E7"), (Some(1L), "   ", null), (None, "x", "y"))
+      .toDF("__rid", "name", "score")
+    val rel = Relation.read(df)
+    assert(rel.cells.map(_.toSeq).toSeq == Seq(Seq("ipad_4th", "12350000"), Seq(null, null)))
+    assert(rel.rids.toSeq == Seq(0L, 1L))
+    assert(rel.nullRids == 1)
+    val blankAndNull = Relation.read(d1)
+    assert(blankAndNull.cells(1).toSeq == Seq(null, null, "12350000"))
+    assert(blankAndNull.cells(2).forall(_ == null))
+    assert(blankAndNull.nullRids == 0)
   }
 
   test("the corpus-size rule counts the all-NULL row in #rows") {

@@ -77,6 +77,28 @@ class NullHandlingSpec extends SparkSpec {
     assert(byGroup("g1").head != byGroup("g2").head)
   }
 
+  test("FD skolems both views share are shared values; unique placeholders never are") {
+    // Figure 3's FD policy on a duplicate pair that agrees on (title,
+    // director) and lacks the year in both views: both get one skolem, a
+    // value the relations share and so a §5.1 walk start. A NULL left after
+    // the FD (its lhs is NULL too) becomes a per-row placeholder instead.
+    def fd(df: org.apache.spark.sql.DataFrame, lhs: Seq[String], rhs: String): Relation =
+      Relation.read(NullHandling.skolemizeUnique(NullHandling.enforceFd(df, lhs, rhs), Seq(rhs)))
+    val r1 = fd(Seq((0L, Some("Heat"), "Mann", None: Option[String]),
+      (1L, Some("Alien"), "Scott", Some("1979")), (2L, None, "Lynch", None))
+      .toDF("__rid", "title", "director", "year"), Seq("title", "director"), "year")
+    val r2 = fd(Seq((3L, Some("Heat"), "Mann", None: Option[String]),
+      (4L, Some("Alien"), "Scott", None), (5L, None, "Lynch", None))
+      .toDF("__rid", "name", "directed_by", "release_year"), Seq("name", "directed_by"), "release_year")
+    val shared = Tokenization.sharedValues(r1, r2)
+    def year(r: Relation, rid: Long): String = r.cells(r.rids.indexOf(rid))(2)
+    val heat = Seq(year(r1, 0L), year(r2, 3L))
+    assert(heat.distinct.size == 1 && heat.head.startsWith("sk__"), heat)
+    assert(shared.filter(_.startsWith("sk__")) == Set(heat.head))
+    assert(Seq(r1, r2).forall(r => Tokenization.values(r).exists(_.startsWith("null__"))))
+    assert(!shared.exists(_.startsWith("null__")), shared)
+  }
+
   test("enforceFd preserves row count (DuckDB oracle)") {
     val df = Seq(
       (0L, "a", Some("c")), (1L, "a", Some("d")), (2L, "b", None: Option[String]),

@@ -68,59 +68,4 @@ class NumericsSpec extends AnyFunSuite {
       }
     }
   }
-
-  test("fit estimates mean and std") {
-    val f = Numerics.fit(Seq("10", "20", "30")).get
-    assert(math.abs(f.mean - 20.0) < 1e-9)
-    assert(math.abs(f.std - 10.0) < 1e-9)
-  }
-
-  test("fit ignores non-numeric values") {
-    val f = Numerics.fit(Seq("10", "abc", "30", null)).get
-    assert(math.abs(f.mean - 20.0) < 1e-9)
-  }
-
-  test("fit returns None with fewer than two numeric values") {
-    assert(Numerics.fit(Seq("abc", "5")).isEmpty)
-    assert(Numerics.fit(Seq.empty).isEmpty)
-  }
-
-  test("replacement only proposes values inside the attribute domain") {
-    val vals = (1 to 50).map(_.toString)
-    val f = Numerics.fit(vals).get
-    val rng = new Random(1)
-    (0 until 200).foreach { _ =>
-      f.replacement(25.0, rng, scale = 0.5).foreach { r =>
-        assert(f.domain.contains(r))
-        assert(r != "25")
-      }
-    }
-  }
-
-  test("replacement in a dense micro-range never crosses to distant values") {
-    // The §5.3 counterexample: {1, 1.00001, ...} — with a tiny std the
-    // proposed neighbours stay local.
-    val vals = (0 to 100).map(i => (1.0 + i * 0.00001).toString)
-    val f = Numerics.fit(vals, sigFigs = 6).get
-    val rng = new Random(2)
-    (0 until 200).foreach { _ =>
-      f.replacement(1.0005, rng).foreach { r =>
-        assert(math.abs(r.toDouble - 1.0005) < 0.001)
-      }
-    }
-  }
-
-  test("replacementTable maps tokens to in-domain candidates with the given probability") {
-    val table = Numerics.replacementTable(Map("year" -> (1990 to 2020).map(_.toString)), prob = 0.25)
-    table.foreach { case (tok, (repl, p)) =>
-      assert(p == 0.25)
-      assert(tok != repl)
-      assert((1990 to 2020).map(_.toString).contains(repl))
-    }
-  }
-
-  test("replacementTable is deterministic in the seed") {
-    val cols = Map("x" -> (1 to 30).map(_.toString))
-    assert(Numerics.replacementTable(cols, seed = 5L) == Numerics.replacementTable(cols, seed = 5L))
-  }
 }

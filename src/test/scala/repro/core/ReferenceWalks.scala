@@ -175,7 +175,8 @@ object ReferenceWalks {
       df.rdd.map { r =>
         val rid = r.getAs[Long]("__rid")
         val toks = dataCols.flatMap { c =>
-          Option(r.getAs[Any](c)).toSeq.flatMap(v => Tokenization.tokens(v.toString, cfg.strategy))
+          Option(r.getAs[Any](c)).flatMap(v => Tokenization.normalize(v.toString)).toSeq
+            .flatMap(Tokenization.tokens(_, cfg.strategy))
         }
         (rid, dsIdx, dataCols.map(c => c -> Option(r.getAs[Any](c)).map(_.toString)), toks)
       }
@@ -201,7 +202,8 @@ object ReferenceWalks {
       df.columns.filterNot(_ == "__rid").toSeq.map { c =>
         val dom = df.select(c).collect()
           .flatMap(r => Option(r.get(0)))
-          .flatMap(v => Tokenization.tokens(v.toString, cfg.strategy))
+          .flatMap(v => Tokenization.normalize(v.toString))
+          .flatMap(Tokenization.tokens(_, cfg.strategy))
           .distinct.toIndexedSeq
         NodeNames.cid(dsIdx, c) -> dom
       }

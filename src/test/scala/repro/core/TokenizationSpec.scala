@@ -9,6 +9,9 @@ class TokenizationSpec extends SparkSpec {
 
   import Tokenization._
 
+  /** A raw cell as `Relation.read` stores it. */
+  private def cell(raw: String): String = normalize(raw).orNull
+
   test("normalize trims and lowercases") {
     assert(normalize("  Hello World  ").contains("hello_world"))
   }
@@ -25,8 +28,9 @@ class TokenizationSpec extends SparkSpec {
   }
 
   test("normalize rounds numeric strings to significant figures") {
-    assert(normalize("123456", 4).contains("123500"))
-    assert(normalize("3.14159", 3).contains("3.14"))
+    assert(SigFigs == 4)
+    assert(normalize("123456").contains("123500"))
+    assert(normalize("3.14159").contains("3.142"))
   }
 
   test("normalize keeps integers integral") {
@@ -38,11 +42,11 @@ class TokenizationSpec extends SparkSpec {
   }
 
   test("Simple keeps a multi-word cell as one token") {
-    assert(tokens("iPad 4th 2012", Simple) == Seq("ipad_4th_2012"))
+    assert(tokens(cell("iPad 4th 2012"), Simple) == Seq("ipad_4th_2012"))
   }
 
   test("Flatten splits a multi-word cell into word tokens") {
-    assert(tokens("iPad 4th Gen", Flatten) == Seq("ipad", "4th", "gen"))
+    assert(tokens(cell("iPad 4th Gen"), Flatten) == Seq("ipad", "4th", "gen"))
   }
 
   test("Flatten of single word equals Simple") {
@@ -51,12 +55,12 @@ class TokenizationSpec extends SparkSpec {
 
   test("Overlap keeps shared values whole") {
     val st = Overlap(Set("ipad_4th"))
-    assert(tokens("iPad 4th", st) == Seq("ipad_4th"))
+    assert(tokens(cell("iPad 4th"), st) == Seq("ipad_4th"))
   }
 
   test("Overlap splits non-shared values") {
     val st = Overlap(Set("something_else"))
-    assert(tokens("iPad 4th", st) == Seq("ipad", "4th"))
+    assert(tokens(cell("iPad 4th"), st) == Seq("ipad", "4th"))
   }
 
   test("tokens of null cell is empty") {
@@ -97,7 +101,7 @@ class TokenizationSpec extends SparkSpec {
     (0 until 200).foreach { _ =>
       val ws = Seq.fill(1 + rng.nextInt(4))(
         (0 until 1 + rng.nextInt(6)).map(_ => ('a' + rng.nextInt(26)).toChar).mkString)
-      val toks = tokens(ws.mkString(" "), Flatten)
+      val toks = tokens(cell(ws.mkString(" ")), Flatten)
       assert(toks.forall(t => !t.contains(" ")))
       assert(toks.nonEmpty)
     }
@@ -138,6 +142,15 @@ class TokenizationSpec extends SparkSpec {
       "SELECT count(*) as n FROM (SELECT DISTINCT lower(a) FROM " +
         "(SELECT a FROM t UNION ALL SELECT b FROM t))",
       "t" -> d.selectExpr("a", "b"))
+  }
+
+  test("the adapters that take a figure count accept only SigFigs") {
+    import spark.implicits._
+    val d = Seq((0L, "3.14159")).toDF("__rid", "x")
+    assert(distinctValues(spark, d, SigFigs).collect().map(_.getString(0)).toSeq == Seq("3.142"))
+    intercept[IllegalArgumentException](distinctValues(spark, d, 3))
+    intercept[IllegalArgumentException](TripartiteGraph.edges(spark, Seq(d), Simple, 3))
+    intercept[IllegalArgumentException](EmbDI.resolveStrategy(spark, Seq(d), Simple, 5))
   }
 
   test("distinctValues drops nulls") {

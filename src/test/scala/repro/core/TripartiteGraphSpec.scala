@@ -120,6 +120,12 @@ class TripartiteGraphSpec extends SparkSpec {
       Set("tok__idx__5", "tok__cid__2__z", "tok__tok__x", "tok__idx__0", "tok__cid__1__a", "plain"))
   }
 
+  test("a CID name decodes to its column, underscores and all") {
+    Seq("title", "a__b", "cid__x", "_").foreach { c =>
+      Seq(1, 2, 12).foreach(d => assert(NodeNames.cidColumn(NodeNames.cid(d, c)) == c))
+    }
+  }
+
   test("doubles cast to scientific notation are rounded like plain numbers (§4.1)") {
     import spark.implicits._
     // cast("string") renders these as "1.2345678E7" and "1.0E-4".

@@ -1,7 +1,7 @@
 package repro.eval
 
 import repro.{SparkSpec, TestFixtures}
-import repro.core.{EmbeddingModel, Tokenization}
+import repro.core.{EmbeddingModel, NodeNames, Relation, Tokenization, TripartiteGraph}
 
 class QualityTestsSpec extends SparkSpec {
 
@@ -49,6 +49,22 @@ class QualityTestsSpec extends SparkSpec {
       assert(t.kind == "MC")
       assert(t.tokens.size == 3)
       assert(!t.tokens.contains(t.intruder))
+    }
+  }
+
+  test("MC tokens of a title cell idx__5 are named as the graph names them") {
+    import spark.implicits._
+    val df = Seq((0L, "Acme", "idx__5"), (1L, "Acme", "Foo Bar"), (2L, "Acme", "baz"),
+      (3L, "Zeta", "alpha beta"), (4L, "Zeta", "gamma"), (5L, "Zeta", "delta"))
+      .toDF("__rid", "maker", "title")
+    val rel = Relation.read(df)
+    Seq(Tokenization.Simple, Tokenization.Overlap(Set("tok__idx__5"))).foreach { st =>
+      val tests = QualityTests.matchConcept(Seq(QualityTests.tokenize(rel, st)),
+        Set("maker"), Set("title"), st, 20, 5L)
+      val names = tests.flatMap(t => t.tokens :+ t.intruder).toSet
+      assert(names.contains("tok__idx__5"), s"$st: ${names.mkString(", ")}")
+      val graphTokens = TripartiteGraph.build(Seq(rel), st).names.filter(NodeNames.isToken).toSet
+      assert(names.subsetOf(graphTokens), s"$st: ${names.diff(graphTokens).mkString(", ")}")
     }
   }
 

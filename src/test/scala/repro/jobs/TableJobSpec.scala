@@ -21,8 +21,15 @@ class TableJobSpec extends AnyFunSuite {
 
   test("an unknown table is rejected with the known ones") {
     val e = TableJob.parse(Seq("7", "FZ"))
-    assert(e == Left("unknown table '7' (known: 1, 2, 3, 4, 5, 6, tm)"))
-    assert(TableJob.parse(Seq.empty).left.exists(_.startsWith("usage: TableJob <1|2|3|4|5|6|tm>")))
+    assert(e == Left("unknown table '7' (known: 1, 2, 3, 4, 5, 6, tm, geom)"))
+    assert(TableJob.parse(Seq.empty).left.exists(_.startsWith("usage: TableJob <1|2|3|4|5|6|tm|geom>")))
+  }
+
+  test("geom runs on dataset pairs, IM and BB by default") {
+    assert(TableJob.parse(Seq("geom")) == Right("geom" -> Seq("IM", "BB")))
+    assert(TableJob.parse(Seq("GEOM", "fz")) == Right("geom" -> Seq("FZ")))
+    assert(TableJob.parse(Seq("geom", "MSD")) ==
+      Left("unknown scenario 'MSD' for table geom (known: IM, AG, WA, IA, FZ, DA, DS, BB)"))
   }
 
   test("an unknown scenario is rejected with the table's scenarios") {
