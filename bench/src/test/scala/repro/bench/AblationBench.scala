@@ -4,7 +4,6 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.core._
-import repro.data.Scenarios
 import repro.eval.Bench
 import repro.integration.EntityResolver
 
@@ -95,7 +94,6 @@ class AblationBench extends SparkSpec {
   }
 
   test("Ablation (Figure 3): missing Year values, Skip vs FD on IM") {
-    val cfg0 = Scenarios.im
     val b0 = Bench.bundle(spark, "IM")
 
     def injectNulls(df: DataFrame, col: String, rate: Double, seed: Int): DataFrame =

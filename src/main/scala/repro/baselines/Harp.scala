@@ -29,9 +29,11 @@ object Harp {
   private[repro] val Levels = 2
 
   /** One coarsening step by randomized maximal edge matching.
-    * Returns (coarse graph, fine-node-id → coarse-node-id). Coarse node
-    * names are `h<level>__<representative>` so levels never collide. */
-  private[repro] def coarsen(g: CompactGraph, level: Int, seed: Long): (CompactGraph, Array[Int]) = {
+    * Returns (coarse graph, fine-node-id → coarse-node-id). Each coarse node
+    * takes its representative's name and kind, and coarse ids follow the
+    * representatives' fine ids; a representative left without a coarse edge
+    * stays as a node of degree 0. */
+  private[repro] def coarsen(g: CompactGraph, seed: Long): (CompactGraph, Array[Int]) = {
     val rng = new Random(seed)
     val match_ = Array.fill(g.numNodes)(-1)
     // Visit nodes in random order; match each unmatched node to a random
@@ -47,13 +49,14 @@ object Harp {
       }
     }
     (0 until g.numNodes).foreach(u => if (match_(u) < 0) match_(u) = u)
-    val repName = (u: Int) => s"h${level}__${g.names(match_(u))}"
-    val coarseEdges = (0 until g.numNodes).flatMap { u =>
-      g.neighborsOf(u).map(v => (repName(u), repName(v)))
-    }.filter { case (a, b) => a != b }
-    val coarse = CompactGraph.build(coarseEdges)
-    val mapping = Array.tabulate(g.numNodes)(u => coarse.index(repName(u)))
-    (coarse, mapping)
+    val reps = Array.range(0, g.numNodes).filter(u => match_(u) == u)
+    val coarseOf = new Array[Int](g.numNodes)
+    reps.indices.foreach(c => coarseOf(reps(c)) = c)
+    val mapping = match_.map(coarseOf)
+    val arcs = Array.range(0, g.numNodes).flatMap { u =>
+      g.neighborsOf(u).collect { case v if mapping(v) != mapping(u) => CompactGraph.arc(mapping(u), mapping(v)) }
+    }
+    (CompactGraph.fromArcs(reps.map(g.names), reps.map(g.types), arcs), mapping)
   }
 
   /** The combined walk corpus over `g0` and its [[Levels]] coarsenings,
@@ -65,7 +68,7 @@ object Harp {
     // Build the hierarchy with the fine-node → level-node mapping per level.
     val graphs = (1 to Levels).scanLeft((g0, Array.range(0, g0.numNodes))) {
       case ((g, fineToLevel), lvl) =>
-        val (coarse, m) = coarsen(g, lvl, cfg.seed + lvl)
+        val (coarse, m) = coarsen(g, cfg.seed + lvl)
         (coarse, fineToLevel.map(m))
     }
     graphs.zipWithIndex.map { case ((g, fineMap), lvlIdx) =>
@@ -80,7 +83,7 @@ object Harp {
         (start, rng) =>
           RandomWalker.uniformWalk(g, start, cfg.walkLength, rng).map { id =>
             val m = members(id)
-            if (m.isEmpty) g.names(id) else m(rng.nextInt(m.length))
+            m(rng.nextInt(m.length))
           }
       }
     }.reduce(_ ++ _)

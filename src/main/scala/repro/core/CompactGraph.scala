@@ -35,18 +35,6 @@ final class CompactGraph(
     neighbors(offsets(i) + rng.nextInt(d))
   }
 
-  /** True iff edge (i, j) exists — binary search over the sorted row. */
-  def hasEdge(i: Int, j: Int): Boolean = {
-    var lo = offsets(i); var hi = offsets(i + 1) - 1
-    while (lo <= hi) {
-      val mid = (lo + hi) >>> 1
-      val v = neighbors(mid)
-      if (v == j) return true
-      if (v < j) lo = mid + 1 else hi = mid - 1
-    }
-    false
-  }
-
   def isToken(i: Int): Boolean = types(i) == 0
   def isRid(i: Int): Boolean   = types(i) == 1
   def isCid(i: Int): Boolean   = types(i) == 2
@@ -90,28 +78,36 @@ object CompactGraph {
     build(edgeDf.collect().toSeq.map(r => (r.getString(0), r.getString(1))))
 
   /** Build from an undirected edge list, repeats allowed (the tripartite
-    * graph's token→RID/CID pairs, tests, coarsened graphs). */
+    * graph's token→RID/CID pairs, tests). */
   def build(pairs: Seq[(String, String)]): CompactGraph = {
     val nameSet = new scala.collection.mutable.HashSet[String]
     pairs.foreach { case (a, b) => nameSet += a; nameSet += b }
     val names = nameSet.toArray.sorted // sorted ⇒ deterministic node ids
     val index = names.zipWithIndex.toMap
-    val types = names.map(NodeNames.kind)
-    val deg = new Array[Int](names.length)
-    val sym = new Array[Long](pairs.length * 2)
+    val arcs = new Array[Long](pairs.length * 2)
     var p = 0
     pairs.foreach { case (a, b) =>
       val ia = index(a); val ib = index(b)
-      sym(p) = ia.toLong << 32 | (ib.toLong & 0xffffffffL); p += 1
-      sym(p) = ib.toLong << 32 | (ia.toLong & 0xffffffffL); p += 1
+      arcs(p) = arc(ia, ib); arcs(p + 1) = arc(ib, ia); p += 2
     }
-    java.util.Arrays.sort(sym)
+    fromArcs(names, names.map(NodeNames.kind), arcs)
+  }
+
+  /** The directed arc `from → to` as one long that sorts by `from`, then `to`. */
+  private[repro] def arc(from: Int, to: Int): Long = from.toLong << 32 | (to.toLong & 0xffffffffL)
+
+  /** The graph over `names` whose adjacency is `arcs` ([[arc]]s holding both
+    * directions of every edge, repeats allowed): sorts `arcs` in place, drops
+    * repeats and lays the rest out as CSR rows. */
+  private[repro] def fromArcs(names: Array[String], types: Array[Byte], arcs: Array[Long]): CompactGraph = {
+    java.util.Arrays.sort(arcs)
     // Dedup + degree count.
+    val deg = new Array[Int](names.length)
     var m = 0
     var last = -1L
     var q = 0
-    while (q < sym.length) {
-      if (sym(q) != last) { last = sym(q); sym(m) = sym(q); deg((sym(q) >>> 32).toInt) += 1; m += 1 }
+    while (q < arcs.length) {
+      if (arcs(q) != last) { last = arcs(q); arcs(m) = arcs(q); deg((arcs(q) >>> 32).toInt) += 1; m += 1 }
       q += 1
     }
     val offsets = new Array[Int](names.length + 1)
@@ -119,7 +115,7 @@ object CompactGraph {
     while (i < names.length) { offsets(i + 1) = offsets(i) + deg(i); i += 1 }
     val neigh = new Array[Int](m)
     q = 0
-    while (q < m) { neigh(q) = (sym(q) & 0xffffffffL).toInt; q += 1 }
+    while (q < m) { neigh(q) = (arcs(q) & 0xffffffffL).toInt; q += 1 }
     new CompactGraph(names, types, offsets, neigh)
   }
 }

@@ -11,7 +11,7 @@ import org.apache.spark.sql.functions._
   * nothing for null). This module adds the two non-default policies:
   *
   *  - [[skolemizeUnique]]: every NULL becomes a fresh placeholder node
-  *    (`null__<rid>__<col>`). The paper notes this is harmless but adds no
+  *    (`null<rid>c<column position>`). The paper notes this is harmless but adds no
   *    information; the FD ablation (Figure 3 "FD" series) builds on it — a
   *    NULL treated as a *new distinct value* pushes the RID's embedding away
   *    from superficially-similar non-duplicates, raising precision.
@@ -20,6 +20,10 @@ import org.apache.spark.sql.functions._
   *    values (nulls and conflicting constants alike) are replaced by one
   *    shared placeholder derived from the lhs values, merging `c` and `c'`
   *    occurrences exactly as in the §5.2 worked example.
+  *
+  * Both placeholders hold no `_` or whitespace and start with letters, so
+  * each stays one token under every [[Tokenization]] strategy and is never
+  * read as a number.
   */
 object NullHandling {
 
@@ -27,7 +31,7 @@ object NullHandling {
   def skolemizeUnique(df: DataFrame, cols: Seq[String]): DataFrame =
     cols.foldLeft(df) { (acc, c) =>
       acc.withColumn(c,
-        when(col(c).isNull, concat(lit(s"null__"), col("__rid"), lit(s"__$c")))
+        when(col(c).isNull, concat(lit("null"), col("__rid"), lit(s"c${df.columns.indexOf(c)}")))
           .otherwise(col(c)))
     }
 
@@ -40,7 +44,7 @@ object NullHandling {
     val lhsNonNull: Column = lhs.map(col(_).isNotNull).reduce(_ && _)
     val distinctRhs = size(collect_set(col(rhs)).over(grp))
     val hasNull = max(when(col(rhs).isNull, 1).otherwise(0)).over(grp)
-    val skolem = concat(lit("sk__"), abs(hash(lhs.map(col): _*)))
+    val skolem = concat(lit("sk"), abs(hash(lhs.map(col): _*)))
     df.withColumn(rhs,
       when(lhsNonNull && (hasNull === 1 || distinctRhs > 1), skolem)
         .otherwise(col(rhs)))

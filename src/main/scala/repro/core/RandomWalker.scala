@@ -10,7 +10,7 @@ import scala.util.Random
   * budget / overlap-start heuristics and the §5.3 node-replacement hook.
   *
   * [[walkCorpus]] is the one corpus driver behind EmbDI, node2vec
-  * ([[Node2VecWalker]]) and HARP (`repro.baselines.Harp`): each of them only
+  * ([[uniformCorpus]]) and HARP (`repro.baselines.Harp`): each of them only
   * supplies how one sentence is built from a start node.
   */
 object RandomWalker {
@@ -106,6 +106,16 @@ object RandomWalker {
   def sentences(graph: CompactGraph, cfg: WalkConfig): Array[Array[String]] =
     walkCorpus(startNodes(graph, cfg.startStrategy), cfg.corpusTokens, cfg.walkLength,
       cfg.seed) { (start, rng) => emit(graph, walkFrom(graph, start, cfg, rng), cfg, rng) }
+
+  /** The Node2Vec baseline of §7: uniform walks from every connected node,
+    * as node names. This is node2vec's walk (Grover & Leskovec, KDD'16) at
+    * its default p = q = 1, where every second-order weight is 1, i.e.
+    * DeepWalk's first-order walk. */
+  def uniformCorpus(graph: CompactGraph, corpusTokens: Long, walkLength: Int,
+                    seed: Long): Array[Array[String]] =
+    walkCorpus(startNodes(graph, AllNodes), corpusTokens, walkLength, seed) { (start, rng) =>
+      uniformWalk(graph, start, walkLength, rng).map(graph.names)
+    }
 
   /** [[sentences]] as a `sentence: array<string>` DataFrame; kept only for
     * the `perfbench/` harness. */

@@ -284,10 +284,13 @@ object ScenarioGen {
     val cols1 = cfg.columns.filter(_.in1)
     val cols2 = cfg.columns.filter(_.in2)
 
+    // Each entity once; a shared entity is rendered into both views.
+    val entity: Map[Long, Entity] = (ids1 ++ ids2).distinct
+      .map(id => id -> genEntity(cfg, id, titles, makers, cats, venues, cities)).toMap
+
     def mkRows(ids: Seq[Long], view: Int, cols: Seq[ColumnSpec], ridBase: Long): Seq[Row] =
       ids.zipWithIndex.map { case (id, i) =>
-        val e = genEntity(cfg, id, titles, makers, cats, venues, cities)
-        Row.fromSeq((ridBase + i) +: cols.map(c => render(cfg, e, id, view, c)))
+        Row.fromSeq((ridBase + i) +: cols.map(c => render(cfg, entity(id), id, view, c)))
       }
 
     def mkSchema(cols: Seq[ColumnSpec], view: Int): StructType =
@@ -336,13 +339,11 @@ object ScenarioGen {
       if (cfg.singleTable) Seq.empty
       else {
         val rng = repro.core.Rand.of(cfg.seed, 0xCA4DL)
-        def entityOf(id: Long): Entity = genEntity(cfg, id, titles, makers, cats, venues, cities)
-        val rows1 = ids1.zipWithIndex.map { case (id, i) => (i.toLong, id, entityOf(id)) }
-        val rows2 = ids2.zipWithIndex.map { case (id, i) =>
-          ((ids1.size + i).toLong, id, entityOf(id))
-        }
-        val byHead2 = rows2.groupBy(_._3.title.head)
-        val byMaker2 = rows2.groupBy(_._3.maker)
+        // (rid, entity id, entity) of each view's rows.
+        val view1 = ids1.zipWithIndex.map { case (id, i) => (i.toLong, id, entity(id)) }
+        val view2 = ids2.zipWithIndex.map { case (id, i) => ((ids1.size + i).toLong, id, entity(id)) }
+        val byHead2 = view2.groupBy(_._3.title.head)
+        val byMaker2 = view2.groupBy(_._3.maker)
         val positives = matches.map(r => (r.getLong(0), r.getLong(1), true))
         // Several hard negatives per d1 row: blocking output is dense —
         // popular d2 rows appear in many pairs, which is what makes the
@@ -350,7 +351,7 @@ object ScenarioGen {
         // structurally trivial on isolated pairs.
         val negCap = math.max(400, positives.size * 12)
         val negatives = scala.collection.mutable.LinkedHashSet.empty[(Long, Long)]
-        rows1.foreach { case (rid1, id1, e1) =>
+        view1.foreach { case (rid1, id1, e1) =>
           val pool = (byHead2.getOrElse(e1.title.head, Seq.empty) ++
             byMaker2.getOrElse(e1.maker, Seq.empty)).filter(_._2 != id1).distinct
           val take = math.min(4, pool.size)

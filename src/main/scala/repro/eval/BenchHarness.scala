@@ -94,8 +94,8 @@ object Bench {
     private def trained(corpus: => Array[Array[String]]) = EmbeddingTrainer.walkThenTrain(corpus, w2v())
     lazy val basic: EmbeddingTrainer.Trained = trained(BasicEmbeddings.corpus(relations,
       BasicEmbeddings.Config(corpusTokens, Tokenization.Overlap(shared), seed = params.seed)))
-    lazy val node2vec: EmbeddingTrainer.Trained = trained(Node2VecWalker.corpus(embdiO.graph,
-      Node2VecWalker.N2VConfig(params.walkLength, corpusTokens, seed = params.seed)))
+    lazy val node2vec: EmbeddingTrainer.Trained = trained(RandomWalker.uniformCorpus(embdiO.graph,
+      corpusTokens, params.walkLength, params.seed))
     lazy val harp: EmbeddingTrainer.Trained = trained(Harp.corpus(embdiO.graph,
       Harp.Config(corpusTokens, params.walkLength, seed = params.seed)))
 

@@ -32,16 +32,6 @@ class CompactGraphSpec extends AnyFunSuite {
     }
   }
 
-  test("hasEdge via binary search matches neighbor lists") {
-    val rng = new Random(3)
-    val pairs = (0 until 300).map(_ => (s"n${rng.nextInt(40)}", s"n${rng.nextInt(40)}"))
-      .filter { case (a, b) => a != b }
-    val g = CompactGraph.build(pairs)
-    for (i <- 0 until g.numNodes; j <- 0 until g.numNodes) {
-      assert(g.hasEdge(i, j) == g.neighborsOf(i).contains(j))
-    }
-  }
-
   test("node types derive from name prefixes") {
     val g = CompactGraph.build(Seq(("tok", NodeNames.rid(3)), ("tok", NodeNames.cid(1, "col"))))
     assert(g.isToken(g.index("tok")))

@@ -19,7 +19,7 @@ class EmbeddingTrainerSpec extends SparkSpec {
     corpus.toSeq.toDF("sentence")
   }
 
-  private def encode(sentences: Seq[Seq[String]], minCount: Int = 1): Encoded =
+  private def encode(sentences: Seq[Seq[String]], minCount: Int): Encoded =
     Encoded(sentences.iterator, minCount)
 
   private def vectors(m: EmbeddingModel): Seq[(String, Seq[Float])] =

@@ -6,6 +6,9 @@ class NullHandlingSpec extends SparkSpec {
 
   import spark.implicits._
 
+  private def isSkolem(v: String): Boolean = v.matches("sk\\d+")
+  private def isNullPlaceholder(v: String): Boolean = v.matches("null\\d+c\\d+")
+
   test("skolemizeUnique replaces each NULL with a distinct placeholder") {
     val df = Seq(
       (0L, Some("a"), None: Option[String]),
@@ -14,7 +17,7 @@ class NullHandlingSpec extends SparkSpec {
     val out = NullHandling.skolemizeUnique(df, Seq("x", "y")).collect()
     val values = out.flatMap(r => Seq(r.getString(1), r.getString(2)))
     assert(values.forall(_ != null))
-    val placeholders = values.filter(_.startsWith("null__"))
+    val placeholders = values.filter(isNullPlaceholder)
     assert(placeholders.length == 3)
     assert(placeholders.distinct.length == 3)
   }
@@ -34,7 +37,7 @@ class NullHandlingSpec extends SparkSpec {
     val out = NullHandling.enforceFd(df, Seq("a1", "a2"), "a3").collect()
     val vals = out.map(_.getString(3)).distinct
     assert(vals.length == 1)
-    assert(vals.head.startsWith("sk__"))
+    assert(isSkolem(vals.head))
   }
 
   test("enforceFd merges a null into the group skolem") {
@@ -44,7 +47,7 @@ class NullHandlingSpec extends SparkSpec {
     ).toDF("__rid", "lhs", "rhs")
     val out = NullHandling.enforceFd(df, Seq("lhs"), "rhs").collect()
     val vals = out.map(_.getString(2)).distinct
-    assert(vals.length == 1 && vals.head.startsWith("sk__"))
+    assert(vals.length == 1 && isSkolem(vals.head))
   }
 
   test("enforceFd leaves consistent groups untouched") {
@@ -93,10 +96,29 @@ class NullHandlingSpec extends SparkSpec {
     val shared = Tokenization.sharedValues(r1, r2)
     def year(r: Relation, rid: Long): String = r.cells(r.rids.indexOf(rid))(2)
     val heat = Seq(year(r1, 0L), year(r2, 3L))
-    assert(heat.distinct.size == 1 && heat.head.startsWith("sk__"), heat)
-    assert(shared.filter(_.startsWith("sk__")) == Set(heat.head))
-    assert(Seq(r1, r2).forall(r => Tokenization.values(r).exists(_.startsWith("null__"))))
-    assert(!shared.exists(_.startsWith("null__")), shared)
+    assert(heat.distinct.size == 1 && isSkolem(heat.head), heat)
+    assert(shared.filter(isSkolem) == Set(heat.head))
+    assert(Seq(r1, r2).forall(r => Tokenization.values(r).exists(isNullPlaceholder)))
+    assert(!shared.exists(isNullPlaceholder), shared)
+  }
+
+  test("each placeholder is one token, the cell itself, under S, F and O") {
+    // A rhs column named with `_`, a conflicting FD group (skolem) and a row
+    // whose lhs is NULL too (per-row placeholder).
+    val df = Seq(
+      (0L, Some("heat"), Some("1995")), (1L, Some("heat"), None: Option[String]),
+      (2L, None: Option[String], None: Option[String]),
+    ).toDF("__rid", "title", "release_year")
+    val rel = Relation.read(NullHandling.skolemizeUnique(
+      NullHandling.enforceFd(df, Seq("title"), "release_year"), Seq("release_year")))
+    // the group's skolem in rows 0 and 1, row 2's own placeholder
+    val placeholders = rel.values("release_year")
+    assert(placeholders.size == 3 && placeholders.distinct.size == 2, placeholders)
+    for {
+      strategy <- Seq(Tokenization.Simple, Tokenization.Flatten, Tokenization.Overlap(Set.empty),
+        Tokenization.Overlap(placeholders.toSet))
+      p <- placeholders
+    } assert(Tokenization.tokens(p, strategy) == Seq(p), s"$p under ${strategy.name}")
   }
 
   test("enforceFd preserves row count (DuckDB oracle)") {

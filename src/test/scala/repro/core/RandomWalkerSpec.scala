@@ -30,7 +30,7 @@ class RandomWalkerSpec extends SparkSpec {
       val w = walkFrom(graph, start, WalkConfig(walkLength = 5), rng)
       assert(graph.isRid(w(0)), s"first node ${graph.names(w(0))} not a RID")
       assert(w(1) == start)
-      assert(graph.hasEdge(w(0), w(1)))
+      assert(graph.neighborsOf(w(0)).contains(w(1)))
     }
   }
 
@@ -40,7 +40,7 @@ class RandomWalkerSpec extends SparkSpec {
       (0 until 60).map { i =>
         val w = walkFrom(graph, start, WalkConfig(walkLength = 5, startStrategy = strategy),
           new Random(i))
-        assert(w(1) == start && graph.hasEdge(w(0), start))
+        assert(w(1) == start && graph.neighborsOf(w(0)).contains(start))
         graph.types(w(0)).toInt
       }.toSet
     assert(firstKinds(AllNodes) == Set(1))
@@ -60,7 +60,7 @@ class RandomWalkerSpec extends SparkSpec {
       val start = rng.nextInt(graph.numNodes)
       val w = walkFrom(graph, start, WalkConfig(walkLength = 20), rng)
       w.sliding(2).foreach { case Array(a, b) =>
-        assert(graph.hasEdge(a, b), s"${graph.names(a)} -> ${graph.names(b)}")
+        assert(graph.neighborsOf(a).contains(b), s"${graph.names(a)} -> ${graph.names(b)}")
       }
     }
   }
@@ -148,6 +148,29 @@ class RandomWalkerSpec extends SparkSpec {
       replacements = Map("ipad" -> ("tablet", 0.0)))
     val tokens = sentences(graph, cfg).flatten
     assert(!tokens.contains("tablet"))
+  }
+
+  test("node2vec corpus walks have the requested length and follow edges") {
+    val corpus = uniformCorpus(graph, corpusTokens = 2000, walkLength = 15, seed = 3)
+    // a walk from every connected node, each written as node names
+    assert(corpus.map(_.head).toSet == graph.names.toSet)
+    corpus.foreach { w =>
+      assert(w.length == 15)
+      w.map(graph.index).sliding(2).foreach { case Array(a, b) =>
+        assert(graph.neighborsOf(a).contains(b), s"${graph.names(a)} -> ${graph.names(b)}")
+      }
+    }
+  }
+
+  test("node2vec corpus is deterministic in the seed") {
+    def corpus = uniformCorpus(graph, corpusTokens = 1000, walkLength = 10, seed = 5).map(_.toSeq).toSeq
+    assert(corpus == corpus)
+  }
+
+  test("node2vec corpus over a graph with no start nodes is rejected") {
+    val e = intercept[IllegalArgumentException](
+      uniformCorpus(CompactGraph.build(Seq.empty), corpusTokens = 1000, walkLength = 10, seed = 1))
+    assert(e.getMessage.contains("no start nodes"))
   }
 
   test("corpusTokensRule implements the paper formula") {

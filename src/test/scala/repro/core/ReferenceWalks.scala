@@ -7,12 +7,13 @@ import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
 /** The walk-corpus drivers as they were before the single driver
-  * `RandomWalker.walkCorpus`: EmbDI's `RandomWalker.corpus`,
-  * `Node2VecWalker.corpus` and HARP's per-level loop, each with its own
-  * start filter, budget rule, broadcast, seeding and `toDF`; and Basic's
-  * corpus as it was built on RDDs before `BasicEmbeddings.corpus`. Kept as
-  * the reference that [[WalkEngineSpec]] checks the new drivers against. The
-  * walk-stepping code is copied too, so a change there shows as well. The
+  * `RandomWalker.walkCorpus`: EmbDI's `RandomWalker.corpus` and HARP's
+  * per-level loop over its string-named coarsening, each with its own start
+  * filter, budget rule, broadcast, seeding and `toDF`; and Basic's corpus as
+  * it was built on RDDs before `BasicEmbeddings.corpus`. Kept as the
+  * reference that [[WalkEngineSpec]] checks the new drivers against. The
+  * walk-stepping and coarsening code is copied too, so a change there shows
+  * as well. The
   * removed config fields (`numPartitions`, `firstStepRid`) are arguments;
   * the removed `firstStepOrCid` is derived from the start strategy, as
   * `RandomWalker` derives it, and HARP's level count and Basic's corpus
@@ -67,58 +68,34 @@ object ReferenceWalks {
       .toDF("sentence")
   }
 
-  // --------------------------------------------------------------- node2vec
-
-  private def n2vWalkFrom(graph: CompactGraph, start: Int, cfg: Node2VecWalker.N2VConfig,
-                          rng: Random): Array[Int] = {
-    val out = new ArrayBuffer[Int](cfg.walkLength)
-    out += start
-    if (graph.degree(start) == 0) return out.toArray
-    var prev = -1
-    var cur = start
-    val wMax = math.max(1.0, math.max(1.0 / cfg.p, 1.0 / cfg.q))
-    while (out.length < cfg.walkLength) {
-      var next = -1
-      if (prev < 0) next = graph.randomNeighbor(cur, rng)
-      else {
-        var accepted = false
-        var guard = 0
-        while (!accepted) {
-          val cand = graph.randomNeighbor(cur, rng)
-          val w =
-            if (cand == prev) 1.0 / cfg.p
-            else if (graph.hasEdge(prev, cand)) 1.0
-            else 1.0 / cfg.q
-          guard += 1
-          if (rng.nextDouble() * wMax <= w || guard > 1000) { next = cand; accepted = true }
-        }
-      }
-      out += next
-      prev = cur
-      cur = next
-    }
-    out.toArray
-  }
-
-  def node2vec(spark: SparkSession, graph: CompactGraph, cfg: Node2VecWalker.N2VConfig,
-               numPartitions: Int = 16): DataFrame = {
-    import spark.implicits._
-    val starts = Array.range(0, graph.numNodes).filter(graph.degree(_) > 0)
-    val totalWalks = math.max(starts.length.toLong, cfg.corpusTokens / cfg.walkLength)
-    val perNode = math.max(1L, totalWalks / starts.length).toInt
-    val bg = spark.sparkContext.broadcast(graph)
-    spark.sparkContext.parallelize(starts.toIndexedSeq, numPartitions)
-      .flatMap { startId =>
-        val g = bg.value
-        (0 until perNode).iterator.map { w =>
-          val rng = Rand.of(cfg.seed, startId.toLong, w.toLong)
-          n2vWalkFrom(g, startId, cfg, rng).map(g.names)
-        }
-      }
-      .toDF("sentence")
-  }
-
   // ------------------------------------------------------------------- HARP
+
+  /** HARP's coarsening step as it was before coarse nodes were numbered by
+    * their representatives' fine ids: each coarse node is named
+    * `h<level>__<representative's name>` and the coarse graph is built from
+    * those names. */
+  def coarsen(g: CompactGraph, level: Int, seed: Long): (CompactGraph, Array[Int]) = {
+    val rng = new Random(seed)
+    val match_ = Array.fill(g.numNodes)(-1)
+    val order = rng.shuffle((0 until g.numNodes).toVector)
+    order.foreach { u =>
+      if (match_(u) < 0 && g.degree(u) > 0) {
+        val nbrs = g.neighborsOf(u).filter(match_(_) < 0)
+        if (nbrs.nonEmpty) {
+          val v = nbrs(rng.nextInt(nbrs.length))
+          match_(u) = u; match_(v) = u
+        }
+      }
+    }
+    (0 until g.numNodes).foreach(u => if (match_(u) < 0) match_(u) = u)
+    val repName = (u: Int) => s"h${level}__${g.names(match_(u))}"
+    val coarseEdges = (0 until g.numNodes).flatMap { u =>
+      g.neighborsOf(u).map(v => (repName(u), repName(v)))
+    }.filter { case (a, b) => a != b }
+    val coarse = CompactGraph.build(coarseEdges)
+    val mapping = Array.tabulate(g.numNodes)(u => coarse.index(repName(u)))
+    (coarse, mapping)
+  }
 
   /** HARP's combined corpus over all levels (before persisting/training). */
   def harp(spark: SparkSession, g0: CompactGraph, cfg: Harp.Config,
@@ -128,7 +105,7 @@ object ReferenceWalks {
     var fineToLevel = Array.tabulate(g0.numNodes)(identity)
     var cur = g0
     (1 to Harp.Levels).foreach { lvl =>
-      val (coarse, m) = Harp.coarsen(cur, lvl, cfg.seed + lvl)
+      val (coarse, m) = coarsen(cur, lvl, cfg.seed + lvl)
       fineToLevel = Array.tabulate(g0.numNodes)(u => m(fineToLevel(u)))
       graphs = graphs :+ ((coarse, fineToLevel.clone()))
       cur = coarse

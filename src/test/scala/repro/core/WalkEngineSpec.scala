@@ -16,6 +16,12 @@ class WalkEngineSpec extends SparkSpec {
 
   private lazy val graph: CompactGraph = TestFixtures.tinyEmbDI.graph
 
+  private lazy val harpGraph: CompactGraph = {
+    import spark.implicits._
+    val df = (0L until 40L).map(i => (i, s"t${i % 11}", s"u${i % 7}")).toDF("__rid", "a", "b")
+    CompactGraph.fromEdges(TripartiteGraph.edges(spark, Seq(df), Tokenization.Simple))
+  }
+
   test("EmbDI corpora equal the old driver's under every start, first-step and replacement option") {
     // The first step is derived from the start strategy (RID-or-CID under
     // overlap starts), so the two strategies cover both first-step pickers.
@@ -37,22 +43,24 @@ class WalkEngineSpec extends SparkSpec {
     }
   }
 
-  test("node2vec corpora equal the old driver's for p/q in {(1,1), (.25,4), (4,.25)}") {
-    Seq((1.0, 1.0), (0.25, 4.0), (4.0, 0.25)).foreach { case (p, q) =>
-      val cfg = Node2VecWalker.N2VConfig(walkLength = 12, corpusTokens = 15000, p = p, q = q, seed = 23L)
-      assert(rows(Node2VecWalker.corpus(graph, cfg)) ==
-        rows(ReferenceWalks.node2vec(spark, graph, cfg)), s"p=$p q=$q")
+  test("HARP's coarse graphs equal the string-named reference at both levels") {
+    Seq(harpGraph, graph).foreach { g0 =>
+      (1 to Harp.Levels).foldLeft((g0, g0)) { case ((g, ref), lvl) =>
+        val (coarse, m) = Harp.coarsen(g, 100L + lvl)
+        val (refCoarse, refM) = ReferenceWalks.coarsen(ref, lvl, 100L + lvl)
+        assert(m.sameElements(refM), s"mapping at level $lvl")
+        assert(coarse.offsets.sameElements(refCoarse.offsets), s"offsets at level $lvl")
+        assert(coarse.neighbors.sameElements(refCoarse.neighbors), s"neighbors at level $lvl")
+        (coarse, refCoarse)
+      }
     }
   }
 
   test("HARP's combined corpus equals the old per-level loop at its two levels") {
-    import spark.implicits._
-    val df = (0L until 40L).map(i => (i, s"t${i % 11}", s"u${i % 7}")).toDF("__rid", "a", "b")
-    val g0 = CompactGraph.fromEdges(TripartiteGraph.edges(spark, Seq(df), Tokenization.Simple))
     val cfg = Harp.Config(corpusTokens = 6000, walkLength = 10)
-    val got = rows(Harp.corpus(g0, cfg))
+    val got = rows(Harp.corpus(harpGraph, cfg))
     assert(got.nonEmpty)
-    assert(got == rows(ReferenceWalks.harp(spark, g0, cfg)))
+    assert(got == rows(ReferenceWalks.harp(spark, harpGraph, cfg)))
   }
 
   test("Basic's corpus equals the old RDD corpus under Flatten and Overlap") {
