@@ -150,29 +150,6 @@ class RandomWalkerSpec extends SparkSpec {
     assert(!tokens.contains("tablet"))
   }
 
-  test("node2vec corpus walks have the requested length and follow edges") {
-    val corpus = uniformCorpus(graph, corpusTokens = 2000, walkLength = 15, seed = 3)
-    // a walk from every connected node, each written as node names
-    assert(corpus.map(_.head).toSet == graph.names.toSet)
-    corpus.foreach { w =>
-      assert(w.length == 15)
-      w.map(graph.index).sliding(2).foreach { case Array(a, b) =>
-        assert(graph.neighborsOf(a).contains(b), s"${graph.names(a)} -> ${graph.names(b)}")
-      }
-    }
-  }
-
-  test("node2vec corpus is deterministic in the seed") {
-    def corpus = uniformCorpus(graph, corpusTokens = 1000, walkLength = 10, seed = 5).map(_.toSeq).toSeq
-    assert(corpus == corpus)
-  }
-
-  test("node2vec corpus over a graph with no start nodes is rejected") {
-    val e = intercept[IllegalArgumentException](
-      uniformCorpus(CompactGraph.build(Seq.empty), corpusTokens = 1000, walkLength = 10, seed = 1))
-    assert(e.getMessage.contains("no start nodes"))
-  }
-
   test("corpusTokensRule implements the paper formula") {
     assert(corpusTokensRule(100, 50, 1000) == 150000)
   }
