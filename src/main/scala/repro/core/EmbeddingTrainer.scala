@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.SplittableRandom
+import java.util.stream.IntStream
 
 import scala.collection.mutable
 import scala.util.hashing.MurmurHash3
@@ -9,15 +10,19 @@ import org.apache.spark.sql.DataFrame
 
 /** Embedding construction (§4.3): skip-gram with hierarchical softmax
   * (Mikolov et al., NIPS'13), the algorithm of Spark MLlib's
-  * `mllib.feature.Word2Vec` at one partition, trained single-threaded on the
-  * driver over dense int word ids.
+  * `mllib.feature.Word2Vec`, trained on the driver's cores over dense int
+  * word ids.
   *
   * The walkers build the corpus on the driver; vocabulary, Huffman tree and
-  * the SGD epochs then run on flat `Array[Float]` weights, so training is
-  * deterministic in the corpus sentences (in order) and `cfg` alone.
-  * Differences from MLlib: the RNG streams, and words of equal count are
-  * ordered by a fixed hash of the word (MLlib's order is the hash order of a
-  * `reduceByKey`; name order would make same-count RIDs Huffman siblings).
+  * the SGD epochs then run on flat `Array[Float]` weights. The epochs are
+  * round-synchronous data-parallel SGD (see [[SkipGramHS]]) over a fixed
+  * number of slices, so training is deterministic in the corpus sentences
+  * (in order) and `cfg` alone, whatever the host's core count; at one slice
+  * it is MLlib's one-partition loop.
+  * Differences from MLlib: the parallel rounds, the RNG streams, and words
+  * of equal count are ordered by a fixed hash of the word (MLlib's order is
+  * the hash order of a `reduceByKey`; name order would make same-count RIDs
+  * Huffman siblings).
   *
   * The paper's default is 300 dimensions / window 3 / skip-gram; dimension
   * is a runtime knob here (benches use 64 — §7.3 reports "limited, mixed
@@ -38,16 +43,28 @@ object EmbeddingTrainer {
   private[repro] final val StepSize = 0.025
   /** MLlib's sentence chunk length (`maxSentenceLength`). */
   private val MaxSentenceLength = 1000
+  /** Slices trained in parallel per round. A constant, not a setting and not
+    * the host's core count, so a model depends on the corpus and `cfg` only. */
+  private val Shards = 4
+  /** Words per round. Longer rounds cost quality, shorter ones barrier time
+    * (DESIGN.md §2). */
+  private val RoundWords = 1500
 
   /** Train on a walk corpus, one sentence per row. */
-  def train(corpus: Array[Array[String]], cfg: W2VConfig): EmbeddingModel = {
+  def train(corpus: Array[Array[String]], cfg: W2VConfig): EmbeddingModel =
+    train(corpus, cfg, Shards)
+
+  /** [[train]] with `shards` slices per round; one shard is MLlib's
+    * sequential loop. */
+  private[core] def train(corpus: Array[Array[String]], cfg: W2VConfig,
+                          shards: Int): EmbeddingModel = {
     val enc = Encoded(corpus.iterator.map(mutable.ArraySeq.make(_)), cfg.minCount)
     require(enc.words.nonEmpty,
       s"empty vocabulary: no word occurs at least minCount = ${cfg.minCount} times")
     require(enc.words.length.toLong * cfg.dim < Int.MaxValue,
       s"vocabulary ${enc.words.length} x dim ${cfg.dim} too large; raise minCount or lower dim")
     val tree = HuffmanTree(enc.counts)
-    val syn0 = new SkipGramHS(enc, tree, cfg).fit()
+    val syn0 = new SkipGramHS(enc, tree, cfg, shards).fit()
     EmbeddingModel(enc.words.indices.map(i =>
       enc.words(i) -> java.util.Arrays.copyOfRange(syn0, i * cfg.dim, (i + 1) * cfg.dim)))
   }
@@ -180,11 +197,22 @@ object EmbeddingTrainer {
     (t / (t + 1.0)).toFloat
   }
 
-  /** One training run. The hot loop is split into one method per sentence
-    * and one per (word, context) pair so the JIT compiles each on its own:
-    * a version that kept the whole epoch loop in one method ran ~25× slower
-    * in its first timed run than in warm-up. */
-  private final class SkipGramHS(enc: Encoded, tree: HuffmanTree, cfg: W2VConfig) {
+  /** One training run as round-synchronous data-parallel SGD. The corpus is
+    * cut on sentence boundaries into rounds of about [[RoundWords]] words,
+    * and each round into `shards` slices of contiguous sentences, trained in
+    * parallel. A slice trains on private copies of the syn0 and syn1 rows it
+    * touches, taken at the round's start. At the barrier a row one slice
+    * touched is copied back, and a row several slices touched gets their
+    * deltas added in slice order. The rates and window shrinks are drawn on
+    * the calling thread in sentence order, as a sequential loop draws them,
+    * so one shard is MLlib's per-partition loop exactly, and a model never
+    * depends on the pool that runs the slices.
+    *
+    * The hot loop is split into one method per sentence and one per (word,
+    * context) pair so the JIT compiles each on its own: a version that kept
+    * the whole epoch loop in one method ran ~25× slower in its first timed
+    * run than in warm-up. */
+  private final class SkipGramHS(enc: Encoded, tree: HuffmanTree, cfg: W2VConfig, shards: Int) {
     private val dim = cfg.dim
     private val window = cfg.window
     private val syn0 = {
@@ -192,12 +220,17 @@ object EmbeddingTrainer {
       Array.fill(enc.words.length * dim)((init.nextFloat() - 0.5f) / dim)
     }
     private val syn1 = new Array[Float](enc.words.length * dim)
-    private val neu1e = new Array[Float](dim)
-    private val dots = new Array[Float](tree.maxCodeLen)
     private val trainWords = enc.counts.sum
     private val totalWords = cfg.maxIter * trainWords + 1
-    private var alpha = StepSize
-    private var random: SplittableRandom = _
+    /** The round's schedule: the rate of each sentence and the window shrink
+      * `b` of each position, indexed from the round's first sentence and
+      * first position. */
+    private val alphas = new Array[Double](RoundWords)
+    private val shrinks = new Array[Int](RoundWords + MaxSentenceLength)
+    private var roundFirst = 0
+    private var roundStart = 0
+    private val slices = Array.fill(shards)(new Slice)
+    private val bounds = new Array[Int](shards + 1)
 
     /** All epochs; returns syn0, row `i` the vector of `enc.words(i)`. */
     def fit(): Array[Float] = {
@@ -206,75 +239,262 @@ object EmbeddingTrainer {
       syn0
     }
 
-    /** MLlib's per-partition loop: the rate restarts at `StepSize` each
+    private def sentenceStart(s: Int): Int = if (s == 0) 0 else enc.ends(s - 1)
+
+    /** MLlib's per-partition schedule: the rate restarts at `StepSize` each
       * epoch and decays linearly with the words seen, re-set whenever more
       * than 10,000 words have passed since the last re-set. */
     private def epoch(k: Int): Unit = {
-      random = new SplittableRandom(Rand.mix64(Rand.mix64(cfg.seed) ^ k))
-      alpha = StepSize
+      val random = new SplittableRandom(Rand.mix64(Rand.mix64(cfg.seed) ^ k))
+      var alpha = StepSize
       val before = (k - 1) * trainWords
       var lastWordCount = 0L
       var wordCount = 0L
-      var start = 0
       var s = 0
       while (s < enc.ends.length) {
-        if (wordCount - lastWordCount > 10000) {
-          lastWordCount = wordCount
-          alpha = math.max(StepSize * (1 - (wordCount + before).toDouble / totalWords),
-            StepSize * 0.0001)
+        roundFirst = s
+        roundStart = sentenceStart(s)
+        while (s < enc.ends.length && sentenceStart(s) - roundStart < RoundWords) {
+          if (wordCount - lastWordCount > 10000) {
+            lastWordCount = wordCount
+            alpha = math.max(StepSize * (1 - (wordCount + before).toDouble / totalWords),
+              StepSize * 0.0001)
+          }
+          alphas(s - roundFirst) = alpha
+          var pos = sentenceStart(s)
+          wordCount += enc.ends(s) - pos
+          while (pos < enc.ends(s)) { shrinks(pos - roundStart) = random.nextInt(window); pos += 1 }
+          s += 1
         }
-        val end = enc.ends(s)
-        wordCount += end - start
-        sentence(start, end)
-        start = end
-        s += 1
+        round(s)
       }
     }
 
-    private def sentence(start: Int, end: Int): Unit = {
-      val tokens = enc.tokens
-      var pos = start
-      while (pos < end) {
-        val b = random.nextInt(window)
-        var c = math.max(start, pos - window + b)
-        val last = math.min(end - 1, pos + window - b)
-        while (c <= last) {
-          if (c != pos) pair(tokens(pos), tokens(c) * dim)
-          c += 1
-        }
-        pos += 1
+    /** Train the sentences `roundFirst until last`: slice `t` holds those
+      * starting in the `t`-th of `shards` equal parts of the round's words. */
+    private def round(last: Int): Unit = {
+      val words = (sentenceStart(last) - roundStart).toLong
+      var s = roundFirst
+      var t = 0
+      while (t < shards) {
+        while (s < last && (sentenceStart(s) - roundStart) * shards.toLong < t * words) s += 1
+        bounds(t) = s
+        t += 1
+      }
+      bounds(shards) = last
+      IntStream.range(0, shards).parallel().forEach(t => slices(t).train(bounds(t), bounds(t + 1)))
+      IntStream.range(0, shards).parallel().forEach { part =>
+        writeBack(slices.map(_.rows0), part)
+        writeBack(slices.map(_.rows1), part)
       }
     }
 
-    /** Hierarchical-softmax update for predicting `word` from the context row
-      * at `l1`. syn0's row is fixed and the inner nodes of one path are
-      * distinct, so every dot product can be taken before the updates. */
-    private def pair(word: Int, l1: Int): Unit = {
-      val syn0 = this.syn0
-      val syn1 = this.syn1
-      val neu1e = this.neu1e
-      val dots = this.dots
-      val points = tree.points
-      val codes = tree.codes
-      val dim = this.dim
-      val from = tree.offsets(word)
-      val n = tree.offsets(word + 1) - from
-      var d = 0
-      while (d < n) { dots(d) = dot(syn0, l1, syn1, points(from + d) * dim, dim); d += 1 }
-      java.util.Arrays.fill(neu1e, 0f)
-      d = 0
-      while (d < n) {
-        val f = dots(d)
-        if (f > -MaxExp && f < MaxExp) {
-          val sig = expTable(((f + MaxExp) * (ExpTableSize / MaxExp / 2.0)).toInt)
-          val g = ((1 - codes(from + d) - sig) * alpha).toFloat
-          val l2 = points(from + d) * dim
-          axpy(g, syn1, l2, neu1e, 0, dim)
-          axpy(g, syn0, l1, syn1, l2, dim)
+    /** The barrier for the rows of one table whose id is `part` mod `shards`. */
+    private def writeBack(rows: Array[Rows], part: Int): Unit = {
+      var t = 0
+      while (t < shards) {
+        val r = rows(t)
+        var i = 0
+        while (i < r.index.size) {
+          val g = r.index.key(i)
+          if (g % shards == part) {
+            if (touchedElsewhere(rows, t, g)) {
+              var j = 0
+              while (j < dim) { r.global(g * dim + j) += r.local(i * dim + j) - r.start(i * dim + j); j += 1 }
+            } else System.arraycopy(r.local, i * dim, r.global, g * dim, dim)
+          }
+          i += 1
         }
-        d += 1
+        t += 1
       }
-      axpy(1f, neu1e, 0, syn0, l1, dim)
+    }
+
+    private def touchedElsewhere(rows: Array[Rows], t: Int, g: Int): Boolean = {
+      var u = 0
+      while (u < shards && (u == t || !rows(u).index.contains(g))) u += 1
+      u < shards
+    }
+
+    /** One thread's share of a round: its sentences as local word ids, the
+      * words' Huffman paths as offsets into its copy of syn1. */
+    private final class Slice {
+      val rows0 = new Rows(syn0, dim)
+      val rows1 = new Rows(syn1, dim)
+      private var tokens = new Array[Int](RoundWords)
+      /** Local word `i`'s path is `points`/`codes` in `[pathFrom(i), pathFrom(i + 1))`. */
+      private var pathFrom = new Array[Int](64)
+      private var points = new Array[Int](64)
+      private var codes = new Array[Byte](64)
+      private val neu1e = new Array[Float](dim)
+      private val dots = new Array[Float](tree.maxCodeLen)
+      private var alpha = StepSize
+
+      def train(first: Int, last: Int): Unit = {
+        rows0.clear()
+        rows1.clear()
+        val from = sentenceStart(first)
+        val to = sentenceStart(last)
+        if (tokens.length < to - from) tokens = new Array[Int](to - from)
+        var pos = from
+        while (pos < to) { tokens(pos - from) = wordOf(enc.tokens(pos)); pos += 1 }
+        var s = first
+        while (s < last) {
+          alpha = alphas(s - roundFirst)
+          sentence(sentenceStart(s) - from, enc.ends(s) - from, sentenceStart(s) - roundStart)
+          s += 1
+        }
+      }
+
+      /** The local id of word `w`, copying its syn0 row and its path's syn1
+        * rows on first touch. */
+      private def wordOf(w: Int): Int = {
+        val fresh = rows0.index.size
+        val i = rows0.slot(w)
+        if (i == fresh) {
+          val n = tree.codeLen(w)
+          if (pathFrom.length < i + 2) pathFrom = java.util.Arrays.copyOf(pathFrom, 2 * (i + 2))
+          val at = pathFrom(i)
+          if (points.length < at + n) {
+            points = java.util.Arrays.copyOf(points, 2 * (at + n))
+            codes = java.util.Arrays.copyOf(codes, 2 * (at + n))
+          }
+          var d = 0
+          while (d < n) {
+            points(at + d) = rows1.slot(tree.points(tree.offsets(w) + d)) * dim
+            codes(at + d) = tree.codes(tree.offsets(w) + d)
+            d += 1
+          }
+          pathFrom(i + 1) = at + n
+        }
+        i
+      }
+
+      /** Sentence `tokens[start, end)`, its shrinks from `shrinks(shrink)`. */
+      private def sentence(start: Int, end: Int, shrink: Int): Unit = {
+        val tokens = this.tokens
+        var pos = start
+        while (pos < end) {
+          val b = shrinks(shrink + pos - start)
+          var c = math.max(start, pos - window + b)
+          val last = math.min(end - 1, pos + window - b)
+          while (c <= last) {
+            if (c != pos) pair(tokens(pos), tokens(c) * dim)
+            c += 1
+          }
+          pos += 1
+        }
+      }
+
+      /** Hierarchical-softmax update for predicting local word `word` from
+        * the context row at `l1`. syn0's row is fixed and the inner nodes of
+        * one path are distinct, so every dot product can be taken before the
+        * updates. */
+      private def pair(word: Int, l1: Int): Unit = {
+        val syn0 = rows0.local
+        val syn1 = rows1.local
+        val neu1e = this.neu1e
+        val dots = this.dots
+        val points = this.points
+        val codes = this.codes
+        val dim = SkipGramHS.this.dim
+        val from = pathFrom(word)
+        val n = pathFrom(word + 1) - from
+        var d = 0
+        while (d < n) { dots(d) = dot(syn0, l1, syn1, points(from + d), dim); d += 1 }
+        java.util.Arrays.fill(neu1e, 0f)
+        d = 0
+        while (d < n) {
+          val f = dots(d)
+          if (f > -MaxExp && f < MaxExp) {
+            val sig = expTable(((f + MaxExp) * (ExpTableSize / MaxExp / 2.0)).toInt)
+            val g = ((1 - codes(from + d) - sig) * alpha).toFloat
+            val l2 = points(from + d)
+            axpy(g, syn1, l2, neu1e, 0, dim)
+            axpy(g, syn0, l1, syn1, l2, dim)
+          }
+          d += 1
+        }
+        axpy(1f, neu1e, 0, syn0, l1, dim)
+      }
+    }
+  }
+
+  /** A slice's private copies of the rows of the weight table `global` it
+    * touches in a round, numbered in order of first touch, and each row's
+    * value at the round's start; sized by the rows touched. */
+  private final class Rows(val global: Array[Float], dim: Int) {
+    val index = new RowIndex
+    var local = new Array[Float](64 * dim)
+    var start = new Array[Float](64 * dim)
+
+    /** The local number of row `g`, copied on first touch. */
+    def slot(g: Int): Int = {
+      val fresh = index.size
+      val i = index.slot(g)
+      if (i == fresh) {
+        if (local.length < (i + 1) * dim) {
+          local = java.util.Arrays.copyOf(local, 2 * (i + 1) * dim)
+          start = java.util.Arrays.copyOf(start, 2 * (i + 1) * dim)
+        }
+        System.arraycopy(global, g * dim, local, i * dim, dim)
+        System.arraycopy(global, g * dim, start, i * dim, dim)
+      }
+      i
+    }
+
+    def clear(): Unit = index.clear()
+  }
+
+  /** Row ids numbered `0 until size` in order of first touch: an
+    * open-addressing table at most half full, cleared in time proportional
+    * to its size. */
+  private final class RowIndex {
+    private var keys = new Array[Int](32)
+    /** `at(i)`: the position of `keys(i)` in `table`. */
+    private var at = new Array[Int](32)
+    private var table = Array.fill(64)(-1)
+    private var shift = 32 - 6
+    var size = 0
+
+    def key(i: Int): Int = keys(i)
+
+    /** The position of row `g` in `table`, or the free one where it goes. */
+    private def find(g: Int): Int = {
+      val mask = table.length - 1
+      var h = (g * 0x9E3779B9) >>> shift
+      while (table(h) >= 0 && keys(table(h)) != g) h = (h + 1) & mask
+      h
+    }
+
+    def contains(g: Int): Boolean = table(find(g)) >= 0
+
+    /** The number of row `g`, which is `size` before the call if `g` is new. */
+    def slot(g: Int): Int = {
+      val h = find(g)
+      if (table(h) >= 0) table(h)
+      else {
+        if (size == keys.length) {
+          keys = java.util.Arrays.copyOf(keys, 2 * size)
+          at = java.util.Arrays.copyOf(at, 2 * size)
+        }
+        keys(size) = g
+        at(size) = h
+        table(h) = size
+        size += 1
+        if (2 * size > table.length) {
+          table = Array.fill(2 * table.length)(-1)
+          shift -= 1
+          var i = 0
+          while (i < size) { at(i) = find(keys(i)); table(at(i)) = i; i += 1 }
+        }
+        size - 1
+      }
+    }
+
+    def clear(): Unit = {
+      var i = 0
+      while (i < size) { table(at(i)) = -1; i += 1 }
+      size = 0
     }
   }
 

@@ -89,6 +89,7 @@ object RandomWalker {
       seed: Long, seedOffset: Long = 0L)(
       sentence: (Int, Random) => Array[String]): Array[Array[String]] = {
     require(starts.nonEmpty, "no start nodes — empty graph or empty overlap set")
+    require(walkLength >= 2, s"walkLength must be at least 2, got $walkLength")
     val totalWalks = math.max(starts.length.toLong, corpusTokens / walkLength)
     val perNode = math.max(1L, totalWalks / starts.length).toInt
     require(starts.length.toLong * perNode <= Int.MaxValue,

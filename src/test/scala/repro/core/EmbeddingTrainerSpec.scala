@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.ForkJoinPool
+
 import scala.collection.mutable
 import scala.util.Random
 import scala.util.hashing.MurmurHash3
@@ -95,6 +97,37 @@ class EmbeddingTrainerSpec extends SparkSpec {
     assert(vectors(train(tinyCorpus, cfg.copy(seed = 4L))) != a)
   }
 
+  /** Two groups of ten words; each sentence draws 20 words from one group. */
+  private lazy val groupCorpus: Array[Array[String]] = {
+    val groups = Seq((0 until 10).map(i => s"a$i"), (0 until 10).map(i => s"b$i"))
+    val rng = new Random(5L)
+    corpusOf((0 until 1000).map { s =>
+      val g = groups(s % 2)
+      Seq.fill(20)(g(rng.nextInt(g.size)))
+    })
+  }
+
+  test("one shard equals the sequential reference loop bit for bit") {
+    val cfg = W2VConfig(dim = 16, minCount = 1, seed = 3L)
+    val one = vectors(train(tinyCorpus, cfg, shards = 1))
+    assert(one == vectors(ReferenceSkipGram.train(tinyCorpus, cfg)))
+    assert(vectors(train(tinyCorpus, cfg)) != one, "the default trainer runs one shard")
+    // Two epochs: the rate restarts at StepSize for the second one.
+    val twice = cfg.copy(maxIter = 2)
+    assert(vectors(train(groupCorpus, twice, shards = 1)) ==
+      vectors(ReferenceSkipGram.train(groupCorpus, twice)))
+  }
+
+  test("a model does not depend on the parallelism of the pool that trains it") {
+    val cfg = W2VConfig(dim = 16, minCount = 1, seed = 3L)
+    val models = Seq(1, 2, 4).map { n =>
+      val pool = new ForkJoinPool(n)
+      try vectors(pool.submit(() => train(tinyCorpus, cfg)).get())
+      finally pool.shutdown()
+    }
+    assert(models.distinct.size == 1)
+  }
+
   test("the DataFrame adapters equal the array path exactly") {
     val walkCfg = TestFixtures.testConfig().walk.copy(corpusTokens = 40000L)
     val frame = RandomWalker.corpus(spark, TestFixtures.tinyEmbDI.graph, walkCfg)
@@ -116,12 +149,7 @@ class EmbeddingTrainerSpec extends SparkSpec {
 
   test("words that co-occur end up closer than words that never do") {
     val groups = Seq((0 until 10).map(i => s"a$i"), (0 until 10).map(i => s"b$i"))
-    val rng = new Random(5L)
-    val sentences = (0 until 1000).map { s =>
-      val g = groups(s % 2)
-      Seq.fill(20)(g(rng.nextInt(g.size)))
-    }
-    val m = train(corpusOf(sentences), W2VConfig(dim = 16, minCount = 1, maxIter = 2, seed = 1L))
+    val m = train(groupCorpus, W2VConfig(dim = 16, minCount = 1, maxIter = 2, seed = 1L))
     def meanCos(pairs: Seq[(String, String)]): Double =
       pairs.map { case (x, y) => m.cosine(x, y).get }.sum / pairs.size
     val within = for (g <- groups; x <- g; y <- g if x < y) yield (x, y)

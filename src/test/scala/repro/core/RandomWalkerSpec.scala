@@ -100,6 +100,16 @@ class RandomWalkerSpec extends SparkSpec {
     assert(sentences(graph, cfg).length == starts.length * perNode)
   }
 
+  test("walk lengths below 2 are rejected, not over-long or divided by zero") {
+    // At length 1 a walk from a token would still emit its first step and
+    // the token, two nodes; at 0 the walk budget would divide by zero.
+    Seq(1, 0).foreach { len =>
+      val e = intercept[IllegalArgumentException](
+        sentences(graph, WalkConfig(walkLength = len, corpusTokens = 100, seed = 1)))
+      assert(e.getMessage.contains("walkLength"))
+    }
+  }
+
   test("corpus is deterministic in the seed") {
     val cfg = WalkConfig(walkLength = 8, corpusTokens = 1000, seed = 99)
     assert(sentences(graph, cfg).map(_.toSeq).toSeq == sentences(graph, cfg).map(_.toSeq).toSeq)
