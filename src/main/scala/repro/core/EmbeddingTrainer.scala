@@ -15,7 +15,7 @@ import org.apache.spark.sql.DataFrame
   *
   * The walkers build the corpus on the driver; vocabulary, Huffman tree and
   * the SGD epochs then run on flat `Array[Float]` weights. The epochs are
-  * round-synchronous data-parallel SGD (see [[SkipGramHS]]) over a fixed
+  * round-synchronous data-parallel SGD (see `SkipGramHS`) over a fixed
   * number of slices, so training is deterministic in the corpus sentences
   * (in order) and `cfg` alone, whatever the host's core count; at one slice
   * it is MLlib's one-partition loop.
@@ -46,8 +46,8 @@ object EmbeddingTrainer {
   /** Slices trained in parallel per round. A constant, not a setting and not
     * the host's core count, so a model depends on the corpus and `cfg` only. */
   private val Shards = 4
-  /** Words per round. Longer rounds cost quality, shorter ones barrier time
-    * (DESIGN.md §2). */
+  /** Words per round, measured (DESIGN.md §2): longer rounds train on staler
+    * rows and lose ER quality, and are only slightly faster. */
   private val RoundWords = 1500
 
   /** Train on a walk corpus, one sentence per row. */
@@ -230,6 +230,8 @@ object EmbeddingTrainer {
     private var roundFirst = 0
     private var roundStart = 0
     private val slices = Array.fill(shards)(new Slice)
+    private val syn0Rows = slices.map(_.rows0)
+    private val syn1Rows = slices.map(_.rows1)
     private val bounds = new Array[Int](shards + 1)
 
     /** All epochs; returns syn0, row `i` the vector of `enc.words(i)`. */
@@ -284,8 +286,8 @@ object EmbeddingTrainer {
       bounds(shards) = last
       IntStream.range(0, shards).parallel().forEach(t => slices(t).train(bounds(t), bounds(t + 1)))
       IntStream.range(0, shards).parallel().forEach { part =>
-        writeBack(slices.map(_.rows0), part)
-        writeBack(slices.map(_.rows1), part)
+        writeBack(syn0Rows, part)
+        writeBack(syn1Rows, part)
       }
     }
 
