@@ -28,7 +28,8 @@ object BasicEmbeddings {
   /** Basic's sentences, built on the driver from the relations (global
     * `__rid`s): `permsPerRow` shuffles of each non-empty row's tokens, opened
     * by its RID (the rows of D1, then of D2), then `perAttr` samples of each
-    * non-empty column domain, opened by its CID. */
+    * non-empty column domain, opened by its CID. Each kind is taken in turns
+    * over its rows or columns. */
   def corpus(relations: Seq[Relation], cfg: Config): Array[Array[String]] = {
     val rows = relations.flatMap { rel =>
       rel.rids.indices.map(r =>
@@ -39,8 +40,13 @@ object BasicEmbeddings {
 
     val rowBudgetTokens = (cfg.corpusTokens * RowFraction).toLong
     val permsPerRow = math.max(1L, (rowBudgetTokens / avgRowLen / nRows).toLong).toInt
-    val rowSentences = rows.flatMap { case (rid, toks) =>
-      (0 until permsPerRow).map { p =>
+    // Both kinds of sentence come in turns (every row's first shuffle, then
+    // every row's second, …), not one block per row or column: the trainer's
+    // parallel slices would otherwise often train one RID's or one CID's rows
+    // in the same round, each from the round-start values, and their summed
+    // updates overshoot.
+    val rowSentences = (0 until permsPerRow).flatMap { p =>
+      rows.map { case (rid, toks) =>
         val rng = Rand.of(cfg.seed, rid, p.toLong)
         (NodeNames.rid(rid) +: rng.shuffle(toks)).toArray
       }
@@ -54,8 +60,8 @@ object BasicEmbeddings {
     val attrBudgetTokens = cfg.corpusTokens - rowBudgetTokens
     val perAttr = math.max(1L,
       attrBudgetTokens / (AttrSentenceLen + 1) / math.max(1, domains.size)).toInt
-    val attrSentences = domains.flatMap { case (cid, dom) =>
-      (0 until perAttr).map { s =>
+    val attrSentences = (0 until perAttr).flatMap { s =>
+      domains.map { case (cid, dom) =>
         val rng = Rand.of(cfg.seed, cid.hashCode.toLong, s.toLong)
         cid +: Array.fill(AttrSentenceLen)(dom(rng.nextInt(dom.size)))
       }

@@ -46,9 +46,10 @@ object EmbeddingTrainer {
   /** Slices trained in parallel per round. A constant, not a setting and not
     * the host's core count, so a model depends on the corpus and `cfg` only. */
   private val Shards = 4
-  /** Words per round, measured (DESIGN.md §2): longer rounds train on staler
-    * rows and lose ER quality, and are only slightly faster. */
-  private val RoundWords = 1500
+  /** Words per round, measured (DESIGN.md §2): a slice trains on rows up to
+    * a round old, and at 500 words or more the Table 3 means and `match-im`
+    * ER drift from the one-slice loop's; 128-word rounds cost ~10 % more E. */
+  private val RoundWords = 256
 
   /** Train on a walk corpus, one sentence per row. */
   def train(corpus: Array[Array[String]], cfg: W2VConfig): EmbeddingModel =
@@ -198,15 +199,15 @@ object EmbeddingTrainer {
   }
 
   /** One training run as round-synchronous data-parallel SGD. The corpus is
-    * cut on sentence boundaries into rounds of about [[RoundWords]] words,
-    * and each round into `shards` slices of contiguous sentences, trained in
-    * parallel. A slice trains on private copies of the syn0 and syn1 rows it
-    * touches, taken at the round's start. At the barrier a row one slice
-    * touched is copied back, and a row several slices touched gets their
-    * deltas added in slice order. The rates and window shrinks are drawn on
-    * the calling thread in sentence order, as a sequential loop draws them,
-    * so one shard is MLlib's per-partition loop exactly, and a model never
-    * depends on the pool that runs the slices.
+    * cut on sentence boundaries into rounds of `shards` slices of about
+    * [[RoundWords]]` / shards` words of contiguous sentences each, and a
+    * round's slices train in parallel. A slice trains on private copies of
+    * the syn0 and syn1 rows it touches, taken at the round's start; at the
+    * barrier slice 0 copies its rows back and each later slice adds its
+    * deltas, in slice order. The calling thread draws the rates and window
+    * shrinks in sentence order before each round, as a sequential loop draws
+    * them, so one shard is MLlib's per-partition loop exactly, and a model
+    * never depends on the pool that runs the slices.
     *
     * The hot loop is split into one method per sentence and one per (word,
     * context) pair so the JIT compiles each on its own: a version that kept
@@ -222,17 +223,8 @@ object EmbeddingTrainer {
     private val syn1 = new Array[Float](enc.words.length * dim)
     private val trainWords = enc.counts.sum
     private val totalWords = cfg.maxIter * trainWords + 1
-    /** The round's schedule: the rate of each sentence and the window shrink
-      * `b` of each position, indexed from the round's first sentence and
-      * first position. */
-    private val alphas = new Array[Double](RoundWords)
-    private val shrinks = new Array[Int](RoundWords + MaxSentenceLength)
-    private var roundFirst = 0
-    private var roundStart = 0
-    private val slices = Array.fill(shards)(new Slice)
-    private val syn0Rows = slices.map(_.rows0)
-    private val syn1Rows = slices.map(_.rows1)
-    private val bounds = new Array[Int](shards + 1)
+    private val sliceWords = math.max(1, RoundWords / shards)
+    private val slices = Array.tabulate(shards)(new Slice(_))
 
     /** All epochs; returns syn0, row `i` the vector of `enc.words(i)`. */
     def fit(): Array[Float] = {
@@ -254,75 +246,43 @@ object EmbeddingTrainer {
       var wordCount = 0L
       var s = 0
       while (s < enc.ends.length) {
-        roundFirst = s
-        roundStart = sentenceStart(s)
-        while (s < enc.ends.length && sentenceStart(s) - roundStart < RoundWords) {
-          if (wordCount - lastWordCount > 10000) {
-            lastWordCount = wordCount
-            alpha = math.max(StepSize * (1 - (wordCount + before).toDouble / totalWords),
-              StepSize * 0.0001)
+        var t = 0
+        while (t < shards) {
+          val slice = slices(t)
+          slice.first = s
+          val from = sentenceStart(s)
+          while (s < enc.ends.length && sentenceStart(s) - from < sliceWords) {
+            if (wordCount - lastWordCount > 10000) {
+              lastWordCount = wordCount
+              alpha = math.max(StepSize * (1 - (wordCount + before).toDouble / totalWords),
+                StepSize * 0.0001)
+            }
+            slice.alphas(s - slice.first) = alpha
+            var pos = sentenceStart(s)
+            wordCount += enc.ends(s) - pos
+            while (pos < enc.ends(s)) { slice.shrinks(pos - from) = random.nextInt(window); pos += 1 }
+            s += 1
           }
-          alphas(s - roundFirst) = alpha
-          var pos = sentenceStart(s)
-          wordCount += enc.ends(s) - pos
-          while (pos < enc.ends(s)) { shrinks(pos - roundStart) = random.nextInt(window); pos += 1 }
-          s += 1
+          slice.last = s
+          t += 1
         }
-        round(s)
+        IntStream.range(0, shards).parallel().forEach(t => slices(t).train())
+        slices.foreach(_.writeBack())
       }
     }
 
-    /** Train the sentences `roundFirst until last`: slice `t` holds those
-      * starting in the `t`-th of `shards` equal parts of the round's words. */
-    private def round(last: Int): Unit = {
-      val words = (sentenceStart(last) - roundStart).toLong
-      var s = roundFirst
-      var t = 0
-      while (t < shards) {
-        while (s < last && (sentenceStart(s) - roundStart) * shards.toLong < t * words) s += 1
-        bounds(t) = s
-        t += 1
-      }
-      bounds(shards) = last
-      IntStream.range(0, shards).parallel().forEach(t => slices(t).train(bounds(t), bounds(t + 1)))
-      IntStream.range(0, shards).parallel().forEach { part =>
-        writeBack(syn0Rows, part)
-        writeBack(syn1Rows, part)
-      }
-    }
-
-    /** The barrier for the rows of one table whose id is `part` mod `shards`. */
-    private def writeBack(rows: Array[Rows], part: Int): Unit = {
-      var t = 0
-      while (t < shards) {
-        val r = rows(t)
-        var i = 0
-        while (i < r.index.size) {
-          val g = r.index.key(i)
-          if (g % shards == part) {
-            if (touchedElsewhere(rows, t, g)) {
-              var j = 0
-              while (j < dim) { r.global(g * dim + j) += r.local(i * dim + j) - r.start(i * dim + j); j += 1 }
-            } else System.arraycopy(r.local, i * dim, r.global, g * dim, dim)
-          }
-          i += 1
-        }
-        t += 1
-      }
-    }
-
-    private def touchedElsewhere(rows: Array[Rows], t: Int, g: Int): Boolean = {
-      var u = 0
-      while (u < shards && (u == t || !rows(u).index.contains(g))) u += 1
-      u < shards
-    }
-
-    /** One thread's share of a round: its sentences as local word ids, the
-      * words' Huffman paths as offsets into its copy of syn1. */
-    private final class Slice {
-      val rows0 = new Rows(syn0, dim)
-      val rows1 = new Rows(syn1, dim)
-      private var tokens = new Array[Int](RoundWords)
+    /** Slice `t`'s share of a round, sentences `first until last`: its
+      * sentences as local word ids, the words' Huffman paths as offsets into
+      * its copy of syn1, and each sentence's rate and each position's window
+      * shrink, indexed from the slice's first sentence and first position. */
+    private final class Slice(t: Int) {
+      var first = 0
+      var last = 0
+      val alphas = new Array[Double](sliceWords)
+      val shrinks = new Array[Int](sliceWords + MaxSentenceLength)
+      private val rows0 = new Rows(syn0, dim, enc.words.length)
+      private val rows1 = new Rows(syn1, dim, enc.words.length)
+      private var tokens = new Array[Int](sliceWords)
       /** Local word `i`'s path is `points`/`codes` in `[pathFrom(i), pathFrom(i + 1))`. */
       private var pathFrom = new Array[Int](64)
       private var points = new Array[Int](64)
@@ -331,7 +291,8 @@ object EmbeddingTrainer {
       private val dots = new Array[Float](tree.maxCodeLen)
       private var alpha = StepSize
 
-      def train(first: Int, last: Int): Unit = {
+      /** Train the slice's sentences; a later slice's rows then hold deltas. */
+      def train(): Unit = {
         rows0.clear()
         rows1.clear()
         val from = sentenceStart(first)
@@ -341,16 +302,19 @@ object EmbeddingTrainer {
         while (pos < to) { tokens(pos - from) = wordOf(enc.tokens(pos)); pos += 1 }
         var s = first
         while (s < last) {
-          alpha = alphas(s - roundFirst)
-          sentence(sentenceStart(s) - from, enc.ends(s) - from, sentenceStart(s) - roundStart)
+          alpha = alphas(s - first)
+          sentence(sentenceStart(s) - from, enc.ends(s) - from)
           s += 1
         }
+        if (t > 0) { rows0.toDeltas(); rows1.toDeltas() }
       }
+
+      def writeBack(): Unit = { rows0.writeBack(t == 0); rows1.writeBack(t == 0) }
 
       /** The local id of word `w`, copying its syn0 row and its path's syn1
         * rows on first touch. */
       private def wordOf(w: Int): Int = {
-        val fresh = rows0.index.size
+        val fresh = rows0.size
         val i = rows0.slot(w)
         if (i == fresh) {
           val n = tree.codeLen(w)
@@ -371,12 +335,12 @@ object EmbeddingTrainer {
         i
       }
 
-      /** Sentence `tokens[start, end)`, its shrinks from `shrinks(shrink)`. */
-      private def sentence(start: Int, end: Int, shrink: Int): Unit = {
+      /** The sentence at local positions `[start, end)`. */
+      private def sentence(start: Int, end: Int): Unit = {
         val tokens = this.tokens
         var pos = start
         while (pos < end) {
-          val b = shrinks(shrink + pos - start)
+          val b = shrinks(pos)
           var c = math.max(start, pos - window + b)
           val last = math.min(end - 1, pos + window - b)
           while (c <= last) {
@@ -421,81 +385,57 @@ object EmbeddingTrainer {
     }
   }
 
-  /** A slice's private copies of the rows of the weight table `global` it
-    * touches in a round, numbered in order of first touch, and each row's
-    * value at the round's start; sized by the rows touched. */
-  private final class Rows(val global: Array[Float], dim: Int) {
-    val index = new RowIndex
+  /** A slice's private copies of the rows of the weight table `global`
+    * (`n` rows) it touches in a round, numbered in order of first touch.
+    * The copies grow with the rows touched; the index costs one int a row. */
+  private final class Rows(global: Array[Float], dim: Int, n: Int) {
+    private val slotOf = Array.fill(n)(-1)
+    private var keys = new Array[Int](64)
     var local = new Array[Float](64 * dim)
-    var start = new Array[Float](64 * dim)
+    var size = 0
 
     /** The local number of row `g`, copied on first touch. */
     def slot(g: Int): Int = {
-      val fresh = index.size
-      val i = index.slot(g)
-      if (i == fresh) {
-        if (local.length < (i + 1) * dim) {
-          local = java.util.Arrays.copyOf(local, 2 * (i + 1) * dim)
-          start = java.util.Arrays.copyOf(start, 2 * (i + 1) * dim)
+      var i = slotOf(g)
+      if (i < 0) {
+        i = size
+        if (keys.length == i) {
+          keys = java.util.Arrays.copyOf(keys, 2 * i)
+          local = java.util.Arrays.copyOf(local, 2 * i * dim)
         }
+        keys(i) = g
+        slotOf(g) = i
         System.arraycopy(global, g * dim, local, i * dim, dim)
-        System.arraycopy(global, g * dim, start, i * dim, dim)
+        size += 1
       }
       i
     }
 
-    def clear(): Unit = index.clear()
-  }
-
-  /** Row ids numbered `0 until size` in order of first touch: an
-    * open-addressing table at most half full, cleared in time proportional
-    * to its size. */
-  private final class RowIndex {
-    private var keys = new Array[Int](32)
-    /** `at(i)`: the position of `keys(i)` in `table`. */
-    private var at = new Array[Int](32)
-    private var table = Array.fill(64)(-1)
-    private var shift = 32 - 6
-    var size = 0
-
-    def key(i: Int): Int = keys(i)
-
-    /** The position of row `g` in `table`, or the free one where it goes. */
-    private def find(g: Int): Int = {
-      val mask = table.length - 1
-      var h = (g * 0x9E3779B9) >>> shift
-      while (table(h) >= 0 && keys(table(h)) != g) h = (h + 1) & mask
-      h
+    /** Turn every copy into its change since the round's start. */
+    def toDeltas(): Unit = {
+      var i = 0
+      while (i < size) {
+        val g = keys(i) * dim
+        var j = 0
+        while (j < dim) { local(i * dim + j) -= global(g + j); j += 1 }
+        i += 1
+      }
     }
 
-    def contains(g: Int): Boolean = table(find(g)) >= 0
-
-    /** The number of row `g`, which is `size` before the call if `g` is new. */
-    def slot(g: Int): Int = {
-      val h = find(g)
-      if (table(h) >= 0) table(h)
-      else {
-        if (size == keys.length) {
-          keys = java.util.Arrays.copyOf(keys, 2 * size)
-          at = java.util.Arrays.copyOf(at, 2 * size)
-        }
-        keys(size) = g
-        at(size) = h
-        table(h) = size
-        size += 1
-        if (2 * size > table.length) {
-          table = Array.fill(2 * table.length)(-1)
-          shift -= 1
-          var i = 0
-          while (i < size) { at(i) = find(keys(i)); table(at(i)) = i; i += 1 }
-        }
-        size - 1
+    /** Copy every row back (`copy`), or add every delta. */
+    def writeBack(copy: Boolean): Unit = {
+      var i = 0
+      while (i < size) {
+        val g = keys(i) * dim
+        if (copy) System.arraycopy(local, i * dim, global, g, dim)
+        else axpy(1f, local, i * dim, global, g, dim)
+        i += 1
       }
     }
 
     def clear(): Unit = {
       var i = 0
-      while (i < size) { table(at(i)) = -1; i += 1 }
+      while (i < size) { slotOf(keys(i)) = -1; i += 1 }
       size = 0
     }
   }

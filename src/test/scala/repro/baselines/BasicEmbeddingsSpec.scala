@@ -22,6 +22,19 @@ class BasicEmbeddingsSpec extends SparkSpec {
     assert(model.words.exists(NodeNames.isCid))
   }
 
+  test("row and attribute sentences take turns over the rows and columns") {
+    val heads = BasicEmbeddings.corpus(TestFixtures.tinyRelations,
+      BasicEmbeddings.Config(corpusTokens = 40000, strategy = Tokenization.Flatten)).map(_.head).toSeq
+    // Cut from the first into runs of one sentence per row (column), every
+    // run names the rows (columns) in the same order.
+    def inTurns(opened: Seq[String]): Boolean = {
+      val order = opened.distinct
+      opened.size > order.size && opened.grouped(order.size).forall(_ == order)
+    }
+    assert(heads.filter(NodeNames.isRid).distinct.size > 2 && inTurns(heads.filter(NodeNames.isRid)))
+    assert(heads.filter(NodeNames.isCid).distinct.size > 2 && inTurns(heads.filter(NodeNames.isCid)))
+  }
+
   test("a RID is closer to its own row's tokens than to random tokens") {
     // Basic's row sentences put the RID next to its row tokens; its
     // attribute sentences dominate token-token geometry (the paper's
