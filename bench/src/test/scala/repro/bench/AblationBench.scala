@@ -19,7 +19,7 @@ import repro.integration.EntityResolver
   *
   * Each variant changes one setting of the bundle's EmbDI-O configuration.
   */
-class AblationBench extends SparkSpec {
+class AblationBench extends SparkSpec with TestTimes {
 
   private def smF(b: Bench.Bundle, model: EmbeddingModel): Double =
     Bench.smScore(b, model).f1

@@ -7,7 +7,7 @@ import repro.eval.Bench
 /** Table 1: dataset properties — #tuples, #columns, #distinct values,
   * #matches, #sentences, %overlap — for all 9 scenarios.
   */
-class Table1Bench extends SparkSpec {
+class Table1Bench extends SparkSpec with TestTimes {
 
   test("Table 1: dataset properties for every scenario") {
     BenchOut.reset("table1")

@@ -8,7 +8,7 @@ import repro.eval.Bench
   * Node2Vec, Harp and EmbDI on all 9 scenarios, plus the pre-trained
   * footnote numbers for BB and AG.
   */
-class Table2Bench extends SparkSpec {
+class Table2Bench extends SparkSpec with TestTimes {
 
   test("Table 2: local embedding quality across methods") {
     BenchOut.reset("table2")

@@ -8,7 +8,7 @@ import repro.eval.Bench
   * EmbDI / Node2Vec / Harp embeddings through Algorithm 5, and the SEEP
   * system with pre-trained (SeepP) vs EmbDI (SeepL) embeddings.
   */
-class Table3Bench extends SparkSpec {
+class Table3Bench extends SparkSpec with TestTimes {
 
   test("Table 3: schema matching across methods") {
     BenchOut.reset("table3")

@@ -10,7 +10,7 @@ import repro.eval.Bench
   * Algorithm 6, n_top = 10). Supervised: DeepER with pre-trained vs EmbDI
   * embeddings at 5 % labels, plus the task-specific (tuned) variants.
   */
-class Table4Bench extends SparkSpec {
+class Table4Bench extends SparkSpec with TestTimes {
 
   test("Table 4: entity resolution across methods") {
     BenchOut.reset("table4")

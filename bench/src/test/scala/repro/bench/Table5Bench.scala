@@ -6,7 +6,7 @@ import repro.eval.Bench
 /** Table 5: effect of n_top on ER precision / recall / F for the six
   * scenarios the paper reports (AG, BB, DA, IA, IM, WA).
   */
-class Table5Bench extends SparkSpec {
+class Table5Bench extends SparkSpec with TestTimes {
 
   private val scenarios = Bench.table5Scenarios
 

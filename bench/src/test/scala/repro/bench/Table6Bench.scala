@@ -6,10 +6,11 @@ import repro.eval.Bench
 
 /** Table 6: execution times for embedding generation — EmbDI's G / W / E
   * breakdown plus Node2Vec and HARP walk+train times on the same graph and
-  * corpus budget. G starts from relations the bundle has already read; each
-  * row ends with the time of a second read of the scenario's tables.
+  * corpus budget, each the median of warm runs. G starts from relations the
+  * bundle has already read; each row ends with the time of a second read of
+  * the scenario's tables.
   */
-class Table6Bench extends SparkSpec {
+class Table6Bench extends SparkSpec with TestTimes {
 
   test("Table 6: execution time breakdown") {
     BenchOut.reset("table6")

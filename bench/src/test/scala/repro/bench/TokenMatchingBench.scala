@@ -8,7 +8,7 @@ import repro.eval.Bench
   * languages vs codes), compare pre-trained embeddings, trigram Jaccard and
   * EmbDI embeddings. Paper: countries .13 / .19 / .31, languages .17 / .20 / .30.
   */
-class TokenMatchingBench extends SparkSpec {
+class TokenMatchingBench extends SparkSpec with TestTimes {
 
   test("Token matching on IM country and language columns") {
     BenchOut.reset("tokenmatching")

@@ -12,8 +12,9 @@ object EmbDI {
       strategy: Tokenization.Strategy = Tokenization.Flatten,
       walk: RandomWalker.WalkConfig = RandomWalker.WalkConfig(),
       w2v: EmbeddingTrainer.W2VConfig = EmbeddingTrainer.W2VConfig(),
-      /** Corpus-size rule factor; when > 0 overrides `walk.corpusTokens`
-        * with `(#distinct values + #rows) * factor` (§7.3). */
+      /** Corpus-size rule factor, at least 1: the walks emit
+        * `(#distinct values + #rows) * factor` tokens (§7.3), whatever
+        * `walk.corpusTokens` says. */
       corpusFactor: Long = 100L,
   ) {
     /** Significant figures of numeric cells: always [[Tokenization.SigFigs]]. */
@@ -79,6 +80,7 @@ object EmbDI {
     * tokenization, graph and CSR, not the reads. */
   def run(relations: Seq[Relation], cfg: Config): Result = {
     require(relations.nonEmpty)
+    require(cfg.corpusFactor >= 1, s"corpusFactor must be at least 1, got ${cfg.corpusFactor}")
 
     val (graph, graphMs) = timed {
       requireUniqueRids(relations)
@@ -88,10 +90,8 @@ object EmbDI {
     // Input statistics for the corpus-size rule, from the relations above.
     val nDistinct = relations.map(Tokenization.values).reduce(_ ++ _).size.toLong
     val nRows = relations.map(_.nRows.toLong).sum
-    val corpusTokens =
-      if (cfg.corpusFactor > 0) RandomWalker.corpusTokensRule(nDistinct, nRows, cfg.corpusFactor)
-      else cfg.walk.corpusTokens
-    val walkCfg = cfg.walk.copy(corpusTokens = corpusTokens)
+    val walkCfg = cfg.walk.copy(
+      corpusTokens = RandomWalker.corpusTokensRule(nDistinct, nRows, cfg.corpusFactor))
 
     val t = EmbeddingTrainer.walkThenTrain(RandomWalker.sentences(graph, walkCfg), cfg.w2v)
     Result(t.model, graph, t.nSentences, nDistinct, Timings(graphMs, t.walkMs, t.trainMs))

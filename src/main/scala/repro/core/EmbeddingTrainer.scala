@@ -45,11 +45,11 @@ object EmbeddingTrainer {
   private val MaxSentenceLength = 1000
   /** Slices trained in parallel per round. A constant, not a setting and not
     * the host's core count, so a model depends on the corpus and `cfg` only. */
-  private val Shards = 4
+  private[core] val Shards = 4
   /** Words per round, measured (DESIGN.md §2): a slice trains on rows up to
     * a round old, and at 500 words or more the Table 3 means and `match-im`
     * ER drift from the one-slice loop's; 128-word rounds cost ~10 % more E. */
-  private val RoundWords = 256
+  private[core] val RoundWords = 256
 
   /** Train on a walk corpus, one sentence per row. */
   def train(corpus: Array[Array[String]], cfg: W2VConfig): EmbeddingModel =
@@ -202,12 +202,13 @@ object EmbeddingTrainer {
     * cut on sentence boundaries into rounds of `shards` slices of about
     * [[RoundWords]]` / shards` words of contiguous sentences each, and a
     * round's slices train in parallel. A slice trains on private copies of
-    * the syn0 and syn1 rows it touches, taken at the round's start; at the
-    * barrier slice 0 copies its rows back and each later slice adds its
-    * deltas, in slice order. The calling thread draws the rates and window
-    * shrinks in sentence order before each round, as a sequential loop draws
-    * them, so one shard is MLlib's per-partition loop exactly, and a model
-    * never depends on the pool that runs the slices.
+    * the syn0 and syn1 rows it touches, each copied by global id on first
+    * touch; syn0 and syn1 change only at the barrier, so a copy holds the
+    * round-start row. At the barrier slice 0 copies its rows back and each
+    * later slice adds its deltas, in slice order. The calling thread draws
+    * the rates and window shrinks in sentence order before each round, as a
+    * sequential loop draws them, so one shard is MLlib's per-partition loop
+    * exactly, and a model never depends on the pool that runs the slices.
     *
     * The hot loop is split into one method per sentence and one per (word,
     * context) pair so the JIT compiles each on its own: a version that kept
@@ -271,10 +272,10 @@ object EmbeddingTrainer {
       }
     }
 
-    /** Slice `t`'s share of a round, sentences `first until last`: its
-      * sentences as local word ids, the words' Huffman paths as offsets into
-      * its copy of syn1, and each sentence's rate and each position's window
-      * shrink, indexed from the slice's first sentence and first position. */
+    /** Slice `t`'s share of a round, sentences `first until last`, and each
+      * sentence's rate and each position's window shrink, indexed from the
+      * slice's first sentence and first position. It walks the corpus and
+      * the Huffman paths in place and addresses its [[Rows]] by global id. */
     private final class Slice(t: Int) {
       var first = 0
       var last = 0
@@ -282,13 +283,10 @@ object EmbeddingTrainer {
       val shrinks = new Array[Int](sliceWords + MaxSentenceLength)
       private val rows0 = new Rows(syn0, dim, enc.words.length)
       private val rows1 = new Rows(syn1, dim, enc.words.length)
-      private var tokens = new Array[Int](sliceWords)
-      /** Local word `i`'s path is `points`/`codes` in `[pathFrom(i), pathFrom(i + 1))`. */
-      private var pathFrom = new Array[Int](64)
-      private var points = new Array[Int](64)
-      private var codes = new Array[Byte](64)
       private val neu1e = new Array[Float](dim)
       private val dots = new Array[Float](tree.maxCodeLen)
+      /** The current word's path as row offsets into `rows1.local`. */
+      private val path = new Array[Int](tree.maxCodeLen)
       private var alpha = StepSize
 
       /** Train the slice's sentences; a later slice's rows then hold deltas. */
@@ -296,14 +294,10 @@ object EmbeddingTrainer {
         rows0.clear()
         rows1.clear()
         val from = sentenceStart(first)
-        val to = sentenceStart(last)
-        if (tokens.length < to - from) tokens = new Array[Int](to - from)
-        var pos = from
-        while (pos < to) { tokens(pos - from) = wordOf(enc.tokens(pos)); pos += 1 }
         var s = first
         while (s < last) {
           alpha = alphas(s - first)
-          sentence(sentenceStart(s) - from, enc.ends(s) - from)
+          sentence(sentenceStart(s), enc.ends(s), from)
           s += 1
         }
         if (t > 0) { rows0.toDeltas(); rows1.toDeltas() }
@@ -311,62 +305,40 @@ object EmbeddingTrainer {
 
       def writeBack(): Unit = { rows0.writeBack(t == 0); rows1.writeBack(t == 0) }
 
-      /** The local id of word `w`, copying its syn0 row and its path's syn1
-        * rows on first touch. */
-      private def wordOf(w: Int): Int = {
-        val fresh = rows0.size
-        val i = rows0.slot(w)
-        if (i == fresh) {
-          val n = tree.codeLen(w)
-          if (pathFrom.length < i + 2) pathFrom = java.util.Arrays.copyOf(pathFrom, 2 * (i + 2))
-          val at = pathFrom(i)
-          if (points.length < at + n) {
-            points = java.util.Arrays.copyOf(points, 2 * (at + n))
-            codes = java.util.Arrays.copyOf(codes, 2 * (at + n))
-          }
-          var d = 0
-          while (d < n) {
-            points(at + d) = rows1.slot(tree.points(tree.offsets(w) + d)) * dim
-            codes(at + d) = tree.codes(tree.offsets(w) + d)
-            d += 1
-          }
-          pathFrom(i + 1) = at + n
-        }
-        i
-      }
-
-      /** The sentence at local positions `[start, end)`. */
-      private def sentence(start: Int, end: Int): Unit = {
-        val tokens = this.tokens
+      /** The sentence at corpus positions `[start, end)`; the slice starts at `from`. */
+      private def sentence(start: Int, end: Int, from: Int): Unit = {
+        val tokens = enc.tokens
         var pos = start
         while (pos < end) {
-          val b = shrinks(pos)
+          val b = shrinks(pos - from)
           var c = math.max(start, pos - window + b)
           val last = math.min(end - 1, pos + window - b)
           while (c <= last) {
-            if (c != pos) pair(tokens(pos), tokens(c) * dim)
+            if (c != pos) pair(tokens(pos), rows0.slot(tokens(c)) * dim)
             c += 1
           }
           pos += 1
         }
       }
 
-      /** Hierarchical-softmax update for predicting local word `word` from
-        * the context row at `l1`. syn0's row is fixed and the inner nodes of
-        * one path are distinct, so every dot product can be taken before the
-        * updates. */
+      /** Hierarchical-softmax update for predicting word `word` from the
+        * context row at `l1`. syn0's row is fixed and the inner nodes of one
+        * path are distinct, so every dot product can be taken before the
+        * updates. The copies are read after `slot`, which can grow them. */
       private def pair(word: Int, l1: Int): Unit = {
+        val from = tree.offsets(word)
+        val n = tree.offsets(word + 1) - from
+        val path = this.path
+        val dim = SkipGramHS.this.dim
+        var d = 0
+        while (d < n) { path(d) = rows1.slot(tree.points(from + d)) * dim; d += 1 }
         val syn0 = rows0.local
         val syn1 = rows1.local
+        val codes = tree.codes
         val neu1e = this.neu1e
         val dots = this.dots
-        val points = this.points
-        val codes = this.codes
-        val dim = SkipGramHS.this.dim
-        val from = pathFrom(word)
-        val n = pathFrom(word + 1) - from
-        var d = 0
-        while (d < n) { dots(d) = dot(syn0, l1, syn1, points(from + d), dim); d += 1 }
+        d = 0
+        while (d < n) { dots(d) = dot(syn0, l1, syn1, path(d), dim); d += 1 }
         java.util.Arrays.fill(neu1e, 0f)
         d = 0
         while (d < n) {
@@ -374,7 +346,7 @@ object EmbeddingTrainer {
           if (f > -MaxExp && f < MaxExp) {
             val sig = expTable(((f + MaxExp) * (ExpTableSize / MaxExp / 2.0)).toInt)
             val g = ((1 - codes(from + d) - sig) * alpha).toFloat
-            val l2 = points(from + d)
+            val l2 = path(d)
             axpy(g, syn1, l2, neu1e, 0, dim)
             axpy(g, syn0, l1, syn1, l2, dim)
           }
@@ -386,8 +358,9 @@ object EmbeddingTrainer {
   }
 
   /** A slice's private copies of the rows of the weight table `global`
-    * (`n` rows) it touches in a round, numbered in order of first touch.
-    * The copies grow with the rows touched; the index costs one int a row. */
+    * (`n` rows) it touches in a round: [[slot]] maps a global row id to its
+    * copy, made on first touch, in order of first touch. The copies grow
+    * with the rows touched; the index costs one int a row. */
   private final class Rows(global: Array[Float], dim: Int, n: Int) {
     private val slotOf = Array.fill(n)(-1)
     private var keys = new Array[Int](64)

@@ -15,8 +15,8 @@ import repro.integration._
 object Bench {
 
   final case class Params(
-      corpusFactor: Long = sys.env.get("BENCH_CORPUS_FACTOR").map(_.toLong).getOrElse(100L),
-      dim: Int = sys.env.get("BENCH_DIM").map(_.toInt).getOrElse(64),
+      corpusFactor: Long = positiveEnv("BENCH_CORPUS_FACTOR", 100),
+      dim: Int = positiveEnv("BENCH_DIM", 64),
       walkLength: Int = 60,
       window: Int = 3,
       /** No effect: the trainer's slice count is its own constant, so a
@@ -32,6 +32,12 @@ object Bench {
   )
 
   val params: Params = Params()
+
+  /** The positive integer in environment variable `name` of `env`, or
+    * `default` where it is unset. */
+  private[repro] def positiveEnv(name: String, default: Int, env: Map[String, String] = sys.env): Int =
+    env.get(name).fold(default)(s => s.trim.toIntOption.filter(_ > 0).getOrElse(
+      throw new IllegalArgumentException(s"$name must be a positive integer, got '$s'")))
 
   def w2v(p: Params = params): EmbeddingTrainer.W2VConfig =
     EmbeddingTrainer.W2VConfig(dim = p.dim, window = p.window, minCount = p.minCount,
@@ -92,14 +98,17 @@ object Bench {
       RandomWalker.corpusTokensRule(embdiO.nDistinctValues,
         scenario.nRows1 + scenario.nRows2, params.corpusFactor)
 
-    /** The baselines' corpora, each trained as EmbDI's is. */
+    /** The baselines' corpora, each trained as EmbDI's is; [[trainNode2vec]]
+      * and [[trainHarp]] walk and train again for Table 6. */
     private def trained(corpus: => Array[Array[String]]) = EmbeddingTrainer.walkThenTrain(corpus, w2v())
     lazy val basic: EmbeddingTrainer.Trained = trained(BasicEmbeddings.corpus(relations,
       BasicEmbeddings.Config(corpusTokens, Tokenization.Overlap(shared), seed = params.seed)))
-    lazy val node2vec: EmbeddingTrainer.Trained = trained(RandomWalker.uniformCorpus(embdiO.graph,
+    def trainNode2vec(): EmbeddingTrainer.Trained = trained(RandomWalker.uniformCorpus(embdiO.graph,
       corpusTokens, params.walkLength, params.seed))
-    lazy val harp: EmbeddingTrainer.Trained = trained(Harp.corpus(embdiO.graph,
+    def trainHarp(): EmbeddingTrainer.Trained = trained(Harp.corpus(embdiO.graph,
       Harp.Config(corpusTokens, params.walkLength, seed = params.seed)))
+    lazy val node2vec: EmbeddingTrainer.Trained = trainNode2vec()
+    lazy val harp: EmbeddingTrainer.Trained = trainHarp()
 
     lazy val pretrained: EmbeddingModel =
       PretrainedEmbeddings.forDatasets(relations, Tokenization.Overlap(shared), params.dim)
@@ -363,27 +372,37 @@ object Bench {
       f"N2V=${n2vMs / 1000.0}%8.1f HARP=${harpMs / 1000.0}%8.1f read=$readS%5.2f"
   }
 
-  /** Timed repeats of EmbDI-O per Table 6 row. */
+  /** Timed repeats of each Table 6 training. */
   private val TimingRepeats = 3
 
-  /** Table 6: the timing rows, then the G/W/E shares of their total. G, W
-    * and E are each the median of [[TimingRepeats]] runs of the bundle's
-    * EmbDI-O configuration after its first (lazy) training, and every
-    * repeat must train the same model. */
+  /** The medians of `times` over [[TimingRepeats]] runs of `train`, each
+    * required to give the model `first` of the bundle's first training bit
+    * for bit. */
+  private def warmMedians[T](b: Bundle, what: String, first: EmbeddingModel)(train: => T)(
+      model: T => EmbeddingModel)(times: (T => Long)*): Seq[Long] = {
+    val runs = Seq.fill(TimingRepeats)(train)
+    require(runs.map(model).forall(m => m.words.sameElements(first.words) &&
+      m.vectors.corresponds(first.vectors)(java.util.Arrays.equals(_, _))),
+      s"${b.shorthand}: a repeated $what training gave a different model")
+    times.map(f => runs.map(f).sorted.apply(runs.size / 2))
+  }
+
+  /** Table 6: the timing rows, then the G/W/E shares of their total. Each
+    * column is the median of [[TimingRepeats]] warm runs, after the bundle's
+    * first (lazy) training of the same configuration: G, W and E of EmbDI-O,
+    * and W+E of node2vec and of HARP. */
   def table6(bs: Seq[Bundle]): Table[TimingRow] = {
     val rows = bs.map { b =>
-      val first = b.embdiO.model
-      val runs = Seq.fill(TimingRepeats)(EmbDI.run(b.relations, b.embdiOConfig))
-      require(runs.forall(r => r.model.words.sameElements(first.words) &&
-        r.model.vectors.corresponds(first.vectors)(java.util.Arrays.equals(_, _))),
-        s"${b.shorthand}: a repeated EmbDI-O training gave a different model")
-      def median(f: EmbDI.Timings => Long): Long = runs.map(r => f(r.timings)).sorted.apply(runs.size / 2)
-      val t = EmbDI.Timings(median(_.graphMs), median(_.walkMs), median(_.trainMs))
-      val n2vMs = b.node2vec.walkMs + b.node2vec.trainMs
-      val harpMs = b.harp.walkMs + b.harp.trainMs
+      val Seq(graphMs, walkMs, trainMs) = warmMedians(b, "EmbDI-O", b.embdiO.model)(
+        EmbDI.run(b.relations, b.embdiOConfig))(_.model)(
+        _.timings.graphMs, _.timings.walkMs, _.timings.trainMs)
+      val Seq(n2vMs) = warmMedians(b, "node2vec", b.node2vec.model)(b.trainNode2vec())(_.model)(
+        r => r.walkMs + r.trainMs)
+      val Seq(harpMs) = warmMedians(b, "HARP", b.harp.model)(b.trainHarp())(_.model)(
+        r => r.walkMs + r.trainMs)
       val t0 = System.nanoTime()
       b.tables.foreach(Relation.read)
-      TimingRow(b.shorthand, t.graphMs, t.walkMs, t.trainMs, n2vMs, harpMs, (System.nanoTime() - t0) / 1e9)
+      TimingRow(b.shorthand, graphMs, walkMs, trainMs, n2vMs, harpMs, (System.nanoTime() - t0) / 1e9)
     }
     val Seq(g, w, e) =
       Seq[TimingRow => Long](_.graphMs, _.walkMs, _.trainMs).map(f => rows.map(f).sum.toDouble)

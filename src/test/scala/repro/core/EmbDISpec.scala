@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkJobs, SparkSpec, TestFixtures}
+import repro.eval.Bench
 
 class EmbDISpec extends SparkSpec {
 
@@ -40,6 +41,23 @@ class EmbDISpec extends SparkSpec {
     // budget allocation rounds down per start node; allow slack
     assert(result.nSentences > expectedWalks / 2 && result.nSentences <= expectedWalks * 2,
       s"${result.nSentences} vs expected ~$expectedWalks")
+  }
+
+  test("a corpus factor below 1 is rejected, not replaced by walk.corpusTokens") {
+    Seq(0L, -1L).foreach { f =>
+      val e = intercept[IllegalArgumentException](
+        EmbDI.run(TestFixtures.tinyRelations, TestFixtures.testConfig().copy(corpusFactor = f)))
+      assert(e.getMessage.contains("corpusFactor"), e.getMessage)
+    }
+  }
+
+  test("the bench rejects a BENCH_CORPUS_FACTOR or BENCH_DIM that is not positive, naming it") {
+    for (name <- Seq("BENCH_CORPUS_FACTOR", "BENCH_DIM"); v <- Seq("0", "-3", "x")) {
+      val e = intercept[IllegalArgumentException](Bench.positiveEnv(name, 64, Map(name -> v)))
+      assert(e.getMessage.contains(name), e.getMessage)
+    }
+    assert(Bench.positiveEnv("BENCH_DIM", 64, Map.empty) == 64)
+    assert(Bench.positiveEnv("BENCH_DIM", 64, Map("BENCH_DIM" -> "300")) == 300)
   }
 
   test("resolveStrategy fills the Overlap shared set") {

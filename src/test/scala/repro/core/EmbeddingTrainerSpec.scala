@@ -118,6 +118,13 @@ class EmbeddingTrainerSpec extends SparkSpec {
       vectors(ReferenceSkipGram.train(groupCorpus, twice)))
   }
 
+  test("the default trainer equals full-copy rounds of the reference loop bit for bit") {
+    val cfg = W2VConfig(dim = 16, minCount = 1, seed = 3L)
+    assert(vectors(train(tinyCorpus, cfg)) == vectors(ReferenceSkipGram.trainRounds(tinyCorpus, cfg)))
+    val twice = cfg.copy(maxIter = 2)
+    assert(vectors(train(groupCorpus, twice)) == vectors(ReferenceSkipGram.trainRounds(groupCorpus, twice)))
+  }
+
   test("a model does not depend on the parallelism of the pool that trains it") {
     val cfg = W2VConfig(dim = 16, minCount = 1, seed = 3L)
     val models = Seq(1, 2, 4).map { n =>

@@ -7,13 +7,25 @@ import java.util.SplittableRandom
   * place. Kept as the oracle that [[EmbeddingTrainerSpec]] holds the trainer
   * at one shard to, bit for bit. The loop and its kernels are copied
   * unchanged; vocabulary and Huffman tree are the trainer's own.
+  *
+  * [[trainRounds]] drives the same loop as the round-synchronous trainer at
+  * `EmbeddingTrainer.Shards` slices, on full copies of the weights in place
+  * of the trainer's per-row copies, as the oracle for its default.
   */
 object ReferenceSkipGram {
-  import EmbeddingTrainer.{Encoded, HuffmanTree, StepSize, W2VConfig}
+  import EmbeddingTrainer.{Encoded, HuffmanTree, RoundWords, Shards, StepSize, W2VConfig}
 
-  def train(corpus: Array[Array[String]], cfg: W2VConfig): EmbeddingModel = {
+  def train(corpus: Array[Array[String]], cfg: W2VConfig): EmbeddingModel =
+    model(corpus, cfg)(_.fit(None))
+
+  /** The round-synchronous trainer's model at [[Shards]] slices. */
+  def trainRounds(corpus: Array[Array[String]], cfg: W2VConfig): EmbeddingModel =
+    model(corpus, cfg)(_.fit(Some(Shards)))
+
+  private def model(corpus: Array[Array[String]], cfg: W2VConfig)(
+      fit: SkipGramHS => Array[Float]): EmbeddingModel = {
     val enc = Encoded(corpus.iterator.map(_.toSeq), cfg.minCount)
-    val syn0 = new SkipGramHS(enc, HuffmanTree(enc.counts), cfg).fit()
+    val syn0 = fit(new SkipGramHS(enc, HuffmanTree(enc.counts), cfg))
     EmbeddingModel(enc.words.indices.map(i =>
       enc.words(i) -> java.util.Arrays.copyOfRange(syn0, i * cfg.dim, (i + 1) * cfg.dim)))
   }
@@ -33,11 +45,11 @@ object ReferenceSkipGram {
   private final class SkipGramHS(enc: Encoded, tree: HuffmanTree, cfg: W2VConfig) {
     private val dim = cfg.dim
     private val window = cfg.window
-    private val syn0 = {
+    private var syn0 = {
       val init = new SplittableRandom(Rand.mix64(cfg.seed))
       Array.fill(enc.words.length * dim)((init.nextFloat() - 0.5f) / dim)
     }
-    private val syn1 = new Array[Float](enc.words.length * dim)
+    private var syn1 = new Array[Float](enc.words.length * dim)
     private val neu1e = new Array[Float](dim)
     private val dots = new Array[Float](tree.maxCodeLen)
     private val trainWords = enc.counts.sum
@@ -45,10 +57,11 @@ object ReferenceSkipGram {
     private var alpha = StepSize
     private var random: SplittableRandom = _
 
-    /** All epochs; returns syn0, row `i` the vector of `enc.words(i)`. */
-    def fit(): Array[Float] = {
+    /** All epochs, sequential or in rounds of `shards` slices; returns syn0,
+      * row `i` the vector of `enc.words(i)`. */
+    def fit(shards: Option[Int]): Array[Float] = {
       var k = 1
-      while (k <= cfg.maxIter) { epoch(k); k += 1 }
+      while (k <= cfg.maxIter) { shards.fold(epoch(k))(roundEpoch(k, _)); k += 1 }
       syn0
     }
 
@@ -75,6 +88,54 @@ object ReferenceSkipGram {
         start = end
         s += 1
       }
+    }
+
+    /** [[epoch]] cut into rounds as `EmbeddingTrainer.SkipGramHS` cuts them:
+      * `shards` slices of contiguous sentences, each started while fewer than
+      * `RoundWords / shards` of the slice's words have passed. Rates and
+      * shrinks are drawn in sentence order, as the sequential loop draws them.
+      * Each slice trains on its own full copy of the round-start weights; at
+      * the barrier slice 0's copy replaces them and each later slice adds
+      * `copy − start`, in slice order. */
+    private def roundEpoch(k: Int, shards: Int): Unit = {
+      random = new SplittableRandom(Rand.mix64(Rand.mix64(cfg.seed) ^ k))
+      alpha = StepSize
+      val before = (k - 1) * trainWords
+      val sliceWords = math.max(1, RoundWords / shards)
+      var lastWordCount = 0L
+      var wordCount = 0L
+      var start = 0
+      var s = 0
+      while (s < enc.ends.length) {
+        val (start0, start1) = (syn0, syn1)
+        val copies = Seq.fill(shards) {
+          syn0 = start0.clone()
+          syn1 = start1.clone()
+          val from = start
+          while (s < enc.ends.length && start - from < sliceWords) {
+            if (wordCount - lastWordCount > 10000) {
+              lastWordCount = wordCount
+              alpha = math.max(StepSize * (1 - (wordCount + before).toDouble / totalWords),
+                StepSize * 0.0001)
+            }
+            val end = enc.ends(s)
+            wordCount += end - start
+            sentence(start, end)
+            start = end
+            s += 1
+          }
+          (syn0, syn1)
+        }
+        syn0 = copies.head._1
+        syn1 = copies.head._2
+        copies.tail.foreach { case (c0, c1) => addDelta(syn0, c0, start0); addDelta(syn1, c1, start1) }
+      }
+    }
+
+    /** `w += copy − start`, element by element. */
+    private def addDelta(w: Array[Float], copy: Array[Float], start: Array[Float]): Unit = {
+      var i = 0
+      while (i < w.length) { w(i) += copy(i) - start(i); i += 1 }
     }
 
     private def sentence(start: Int, end: Int): Unit = {
